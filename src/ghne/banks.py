@@ -14,22 +14,15 @@ Strided layers enter the algebra through kernel resizing: a stride-s
 kernel is replaced by an s-times-larger stride-1 kernel, so a 5x5
 stride-2 kernel becomes 10x10 and all the stride-1 shape arithmetic
 (extent_out = extent_a + extent_b - 1) applies unchanged.
-
-Set GHNE_THREADS=N to compute output members of a composite convolution
-on N worker threads.  The summation order inside each member is fixed
-(ascending channel index), so threaded results are bit-identical to
-sequential ones.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .epitome import Epitome, Histogram, add, convolve, histogram, mean_fuzziness
+from .epitome import Epitome, Histogram, bank_convolve, histogram, mean_fuzziness
 
 __all__ = [
     "Bank",
@@ -319,25 +312,15 @@ def layer_to_bank(layer: LayerSpec, fill: str = "replicate") -> Bank:
     return Bank(g, np.ones(g.shape, dtype=np.int64))
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("GHNE_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def composite_convolve(a: Bank, b: Bank) -> Bank:
     """Bank-level convolution contracting a's filters against b's channels.
 
     Requires a.m == b.c.  Output member (i, j) for filter i of b and
     channel j of a is the entrywise epitome sum over k = 0..a.m-1 of
-    convolve(a[k, j], b[i, k]), in ascending k, so the result has
-    m = b.m, c = a.c, and the full-convolution spatial shape.  Member
-    computations are independent; GHNE_THREADS > 1 spreads them over
-    that many threads with bit-identical results.
+    convolve(a[k, j], b[i, k]), so the result has m = b.m, c = a.c, and
+    the full-convolution spatial shape.  All members come from one
+    bank_convolve call: T = s - 2g and the counts are each contracted
+    over k, offset by offset, and g = (s - T) / 2.
     """
     if a.rank != b.rank:
         raise ValueError(f"spatial rank mismatch: {a.rank} vs {b.rank}")
@@ -346,28 +329,7 @@ def composite_convolve(a: Bank, b: Bank) -> Bank:
             f"bank mismatch: left bank has m={a.m} epitomes but "
             f"right bank expects c={b.c} channels"
         )
-    out_spatial = tuple(x + y - 1 for x, y in zip(a.spatial_shape, b.spatial_shape))
-    g = np.empty((b.m, a.c) + out_spatial)
-    s = np.empty((b.m, a.c) + out_spatial, dtype=np.int64)
-
-    def one_member(ij):
-        i, j = ij
-        acc = convolve(a.member(0, j), b.member(i, 0))
-        for k in range(1, a.m):
-            acc = add(acc, convolve(a.member(k, j), b.member(i, k)))
-        return acc
-
-    jobs = [(i, j) for i in range(b.m) for j in range(a.c)]
-    workers = _worker_count()
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_member, jobs))
-    else:
-        results = [one_member(ij) for ij in jobs]
-    for (i, j), e in zip(jobs, results):
-        g[i, j] = e.g
-        s[i, j] = e.s
-    return Bank(g, s)
+    return Bank(*bank_convolve(a.g, a.s, b.g, b.s))
 
 
 def effective_shape(layers) -> tuple[int, ...]:

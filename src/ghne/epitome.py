@@ -13,17 +13,22 @@ pair (g, s) algebra is associative even though summing plain GHD values
 is not, which is the whole point: a stack of layers collapses into one
 bank without touching any input.
 
-Counts are kept as int64, never floats, so they stay exact; g values are
+Under t = s - 2g the merge is a plain product, t_out = t * t', just as
+t(x) = 1 - 2x turns the scalar GHD into multiplication.  bank_convolve
+uses that to evaluate a whole bank contraction as two multiply-add
+convolutions, one for t and one for the counts.
+
+Counts are stored as int64, never floats, so they stay exact; g values are
 float64.  Epitomes are immutable after construction and every operation
 returns a new one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve as _nd_convolve
 
 from .ghd import fuzziness as _scalar_fuzziness
 from .ghd import ghd
@@ -34,6 +39,7 @@ __all__ = [
     "make_normalized",
     "normalize",
     "merged_pair",
+    "bank_convolve",
     "convolve",
     "add",
     "mean_fuzziness",
@@ -148,9 +154,49 @@ def merged_pair(gn, sn, gm, sm):
     return float(ghd(gn, gm) + (sm - 1) * gn + (sn - 1) * gm), sn * sm
 
 
-def _full_convolve(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # direct method: exact for int64, deterministic for float64
-    return _nd_convolve(u, v, mode="full", method="direct")
+def bank_convolve(ga, sa, gb, sb):
+    """Full hamming convolution of two banks given as arrays.
+
+    a = (ga, sa) has shape (k, c, *A) and b = (gb, sb) shape (m, k, *B),
+    with float64 g and int64 s, as held by Bank and Epitome.
+    Output member (i, j) is the entrywise epitome sum over k of the full
+    convolution of a[k, j] with b[i, k], so the result (g, s) has shape
+    (m, c, *(A + B - 1)).  Both parts are the same contraction: with
+    T = s - 2g,
+
+        T_out = sum_k conv(T_a[k, j], T_b[i, k])
+        s_out = sum_k conv(s_a[k, j], s_b[i, k])    (exact)
+        g_out = (s_out - T_out) / 2
+
+    The loop runs over the offsets of the smaller spatial grid; each
+    offset is one tensordot over k added into its output window, in a
+    fixed order, so results are deterministic.  Counts are contracted in
+    float64 when no partial sum can reach 2**53 (every one is then an
+    exactly represented integer, in any summation order), else in int64;
+    the result is the same int64 array either way.
+    """
+    grid_a, grid_b = ga.shape[2:], gb.shape[2:]
+    if math.prod(grid_a) < math.prod(grid_b):
+        # convolution commutes: swap the roles so the loop runs over a's offsets
+        g, s = bank_convolve(*(x.swapaxes(0, 1) for x in (gb, sb, ga, sa)))
+        return g.swapaxes(0, 1), s.swapaxes(0, 1)
+    out_shape = (gb.shape[0], ga.shape[1]) + tuple(x + y - 1 for x, y in zip(grid_a, grid_b))
+    # an output entry sums at most k * |B| terms, each at most max(s_a) * max(s_b)
+    terms = ga.shape[0] * math.prod(grid_b)
+    count_type = np.float64 if int(sa.max()) * int(sb.max()) * terms < 2**53 else np.int64
+    t = np.zeros(out_shape)
+    s = np.zeros(out_shape, dtype=count_type)
+    ta = sa - 2.0 * ga
+    tb = sb - 2.0 * gb
+    sa = sa.astype(count_type)
+    sb = sb.astype(count_type)
+    # (m, k) . (k, c, *A) -> (m, c, *A), added at offset p
+    for p in np.ndindex(grid_b):
+        window = (slice(None), slice(None)) + tuple(slice(o, o + n) for o, n in zip(p, grid_a))
+        at = (slice(None), slice(None)) + p
+        t[window] += np.tensordot(tb[at], ta, axes=(1, 0))
+        s[window] += np.tensordot(sb[at], sa, axes=(1, 0))
+    return 0.5 * (s - t), s.astype(np.int64)
 
 
 def convolve(a: Epitome, b: Epitome) -> Epitome:
@@ -158,24 +204,16 @@ def convolve(a: Epitome, b: Epitome) -> Epitome:
 
     Output extent per axis is Na + Nb - 1.  Entry c sums merged_pair
     over the anti-diagonal set S(c) = {(n, m) | n + m = c} (0-based per
-    axis), and counts are summed likewise, so
-
-        g_out = conv(g_a, s_b) + conv(s_a, g_b) - 2 conv(g_a, g_b)
-        s_out = conv(s_a, s_b)
-
-    with plain full convolutions.  Counts stay exact int64.
+    axis), and counts are summed likewise.  This is bank_convolve with
+    one filter, one channel and one contracted member, so with
+    T = s - 2g it computes T_out = conv(T_a, T_b), s_out = conv(s_a, s_b)
+    and g_out = (s_out - T_out) / 2.  Counts stay exact int64.
     """
     if a.rank != b.rank:
         raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
-    sa = a.s.astype(np.float64)
-    sb = b.s.astype(np.float64)
-    g = (
-        _full_convolve(a.g, sb)
-        + _full_convolve(sa, b.g)
-        - 2.0 * _full_convolve(a.g, b.g)
-    )
-    s = _full_convolve(a.s, b.s)
-    return Epitome(g, s)
+    one = (np.newaxis, np.newaxis)
+    g, s = bank_convolve(a.g[one], a.s[one], b.g[one], b.s[one])
+    return Epitome(g[0, 0], s[0, 0])
 
 
 def add(a: Epitome, b: Epitome) -> Epitome:

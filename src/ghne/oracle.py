@@ -7,6 +7,12 @@ summand counts, which is exactly what makes it non-associative),
 layer-by-layer forward evaluation, and random generators for models,
 banks, and inputs.  Clarity beats speed throughout; none of this is
 benchmarked.
+
+The layered reference has its own count-carrying convolution.  It
+loops over members and offsets and merges entries in the additive form
+g_a*s_b + s_a*g_b - 2*g_a*g_b, so it shares no arithmetic with the
+fast path's contraction of T = s - 2g (epitome.bank_convolve), and an
+error in either one shows up as a disagreement between the two.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .banks import Bank, LayerSpec, Model, apply, collapse, composite_convolve, layer_to_bank
+from .banks import Bank, LayerSpec, Model, apply, collapse, layer_to_bank
 from .epitome import Epitome, convolve, make_normalized
 from .ghd import ghd
 
@@ -26,6 +32,7 @@ __all__ = [
     "outer_product",
     "raw_convolve",
     "raw_convolve_with_counts",
+    "reference_composite",
     "layered_forward",
     "compare_banks",
     "check_equivalence",
@@ -131,13 +138,48 @@ def raw_convolve_with_counts(factors):
     return sums, counts
 
 
+def _add_member_convolution(g, s, ga, sa, gb, sb):
+    """Add the full convolution of member (ga, sa) with (gb, sb) into (g, s).
+
+    For every offset p of b, the window of the output that a lands on
+    gets the merged pairs of a with entry p of b, in the additive form
+    g_a*s_b + s_a*g_b - 2*g_a*g_b, and the counts s_a*s_b.
+    """
+    for p in np.ndindex(gb.shape):
+        window = tuple(slice(o, o + n) for o, n in zip(p, ga.shape))
+        g[window] += ga * sb[p] + sa * gb[p] - 2.0 * ga * gb[p]
+        s[window] += sa * sb[p]
+
+
+def reference_composite(a: Bank, b: Bank) -> Bank:
+    """Composite convolution member by member, the slow twin of composite_convolve.
+
+    Output member (i, j) accumulates the convolution of a[k, j] with
+    b[i, k] for k = 0..a.m-1 in ascending order.
+    """
+    if a.rank != b.rank:
+        raise ValueError(f"spatial rank mismatch: {a.rank} vs {b.rank}")
+    if a.m != b.c:
+        raise ValueError(f"bank mismatch: a.m={a.m} but b.c={b.c}")
+    shape = (b.m, a.c) + tuple(x + y - 1 for x, y in zip(a.spatial_shape, b.spatial_shape))
+    g = np.zeros(shape)
+    s = np.zeros(shape, dtype=np.int64)
+    for i in range(b.m):
+        for j in range(a.c):
+            for k in range(a.m):
+                _add_member_convolution(
+                    g[i, j], s[i, j], a.g[k, j], a.s[k, j], b.g[i, k], b.s[i, k]
+                )
+    return Bank(g, s)
+
+
 def layered_forward(model: Model, input_bank: Bank, fill: str = "replicate") -> Bank:
     """Evaluate a model the conventional way, one layer at a time.
 
-    Left fold of composite_convolve starting from the input bank,
+    Left fold of reference_composite starting from the input bank,
     carrying raw (g, s) pairs between layers with no intermediate
     normalization.  This is the reference the one-step deep-epitome
-    path must match entry for entry.
+    path must match entry for entry; it never calls the fast kernel.
     """
     first = model.layers[0]
     if input_bank.m != first.in_channels:
@@ -147,7 +189,7 @@ def layered_forward(model: Model, input_bank: Bank, fill: str = "replicate") -> 
         )
     bank = input_bank
     for layer in model.layers:
-        bank = composite_convolve(bank, layer_to_bank(layer, fill))
+        bank = reference_composite(bank, layer_to_bank(layer, fill))
     return bank
 
 

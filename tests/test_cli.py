@@ -93,13 +93,11 @@ def test_collapse_missing_model_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_collapse_threaded_output_is_identical(model_file, tmp_path, monkeypatch):
+def test_collapse_twice_writes_identical_files(model_file, tmp_path):
     path, _ = model_file
-    a = str(tmp_path / "seq.ghne")
-    b = str(tmp_path / "par.ghne")
-    monkeypatch.delenv("GHNE_THREADS", raising=False)
+    a = str(tmp_path / "first.ghne")
+    b = str(tmp_path / "second.ghne")
     assert main(["collapse", "--model", path, "--out", a]) == 0
-    monkeypatch.setenv("GHNE_THREADS", "4")
     assert main(["collapse", "--model", path, "--out", b]) == 0
     with open(a, "rb") as fa, open(b, "rb") as fb:
         assert fa.read() == fb.read()

@@ -1,5 +1,9 @@
 """Epitome type, the merge formula, convolution, summation, stats."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -220,6 +224,17 @@ def test_convolve_count_totals():
     a = make_normalized(np.zeros(5))
     b = make_normalized(np.zeros(7))
     assert convolve(a, b).s.sum() == 35
+
+
+def test_import_does_not_load_scipy():
+    # the kernels are numpy only; scipy would add its import time and memory
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys, ghne; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 # --- summation -------------------------------------------------------------

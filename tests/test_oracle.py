@@ -27,6 +27,7 @@ from ghne.oracle import (
     random_input,
     random_model,
     random_normalized_epitome,
+    reference_composite,
     suite_collapse_equivalence,
     suite_epitome_associativity,
     suite_pairwise_sum_identity,
@@ -152,6 +153,57 @@ def test_raw_agrees_with_epitome_convolution():
         assert np.array_equal(e.s, counts)
 
 
+def test_reference_composite_matches_raw_grouping():
+    # the oracle's count-carrying convolution against the outer-product
+    # grouping, for two and three 1-D tuples (the latter folded twice)
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        x, y, z = (rng.uniform(-1, 2, int(rng.integers(1, 7))) for _ in range(3))
+        bx, by, bz = (Bank.single(make_normalized(v)) for v in (x, y, z))
+        xy = reference_composite(bx, by)
+        for factors, out in (([x, y], xy), ([x, y, z], reference_composite(xy, bz))):
+            sums, counts = raw_convolve_with_counts(factors)
+            assert np.allclose(out.g[0, 0], sums, rtol=0, atol=1e-12)
+            assert np.array_equal(out.s[0, 0], counts)
+
+
+def test_reference_composite_matches_fast_kernel_both_ways():
+    # the kernel loops over whichever grid is smaller; check both branches
+    rng = np.random.default_rng(13)
+    for shape_a, shape_b in (((5, 4), (2, 3)), ((2, 2), (4, 5)), ((3, 3), (3, 3))):
+        a = random_bank(rng, m=3, c=2, shape=shape_a)
+        b = random_bank(rng, m=4, c=3, shape=shape_b)
+        ref = reference_composite(a, b)
+        fast = composite_convolve(a, b)
+        assert np.array_equal(ref.s, fast.s)
+        report = compare_banks(ref, fast, tol=1e-12)
+        assert report.passed, report
+
+
+def test_composite_counts_exact_past_float_precision():
+    # counts whose products need 61 bits: float64 would round them, so the
+    # kernel must contract these in int64
+    rng = np.random.default_rng(15)
+    sa = 2**30 + rng.integers(1, 9, (2, 1, 3))
+    sb = 2**30 + rng.integers(1, 9, (2, 2, 1))
+    # g = s * mean value, as for any epitome built from data in [0, 1]
+    a = Bank(sa * rng.uniform(0, 1, sa.shape), sa)
+    b = Bank(sb * rng.uniform(0, 1, sb.shape), sb)
+    ref = reference_composite(a, b)
+    fast = composite_convolve(a, b)
+    assert ref.s.max() > 2**53
+    assert np.array_equal(ref.s, fast.s)
+    assert compare_banks(ref, fast, tol=1e-12).passed
+
+
+def test_reference_composite_rejects_mismatch():
+    rng = np.random.default_rng(14)
+    with pytest.raises(ValueError, match="m=2"):
+        reference_composite(random_bank(rng, 2, 1, (3,)), random_bank(rng, 1, 3, (3,)))
+    with pytest.raises(ValueError, match="rank"):
+        reference_composite(random_bank(rng, 1, 1, (3,)), random_bank(rng, 1, 1, (3, 3)))
+
+
 # --- layered forward and equivalence ----------------------------------------
 
 
@@ -160,7 +212,10 @@ def test_layered_forward_single_layer():
     layer = LayerSpec("only", rng.uniform(0, 1, (2, 1, 3)), 1)
     x = random_input(rng, channels=1, shape=(8,))
     out = layered_forward(Model([layer]), x)
-    assert out == composite_convolve(x, layer_to_bank(layer))
+    fast = composite_convolve(x, layer_to_bank(layer))
+    assert np.array_equal(out.s, fast.s)
+    report = compare_banks(out, fast, tol=1e-12)
+    assert report.passed, report
 
 
 def test_layered_forward_channel_error_names_layer():
@@ -220,14 +275,45 @@ def test_check_equivalence_random_model():
     assert report.count_mismatches == 0
 
 
-def test_check_equivalence_single_layer_is_exact():
-    # one layer: collapse is the layer bank itself, both routes identical
+def test_check_equivalence_single_layer_within_1e12():
+    # one layer: collapse is the layer bank itself; the two routes differ
+    # only in how each convolution rounds
     rng = np.random.default_rng(11)
     layer = LayerSpec("only", rng.uniform(0, 1, (2, 1, 3, 3)), 1)
     x = random_input(rng, 1, (6, 6))
-    report = check_equivalence(Model([layer]), x, tol=0.0)
-    assert report.passed
-    assert report.max_abs_error == 0.0
+    report = check_equivalence(Model([layer]), x, tol=1e-12)
+    assert report.passed, report
+    assert report.count_mismatches == 0
+
+
+def _deep_stack(rng, rank, depth, weight_range):
+    # exactly `depth` layers of 1-3 channels, kernels of 1-3, strides 1 or 2 per axis
+    widths = [int(rng.integers(1, 4)) for _ in range(depth + 1)]
+    layers = []
+    for i in range(depth):
+        kernel = tuple(int(rng.integers(1, 4)) for _ in range(rank))
+        stride = tuple(int(rng.choice((1, 2))) for _ in range(rank))
+        w = rng.uniform(weight_range[0], weight_range[1], size=(widths[i + 1], widths[i]) + kernel)
+        layers.append(LayerSpec(f"conv{i + 1}", w, stride))
+    return Model(layers)
+
+
+@pytest.mark.parametrize(
+    "weight_range, tol", [((0.0, 1.0), 1e-13), ((0.0, 0.05), 1e-13), ((-1.5, 1.5), 1e-11)]
+)
+@pytest.mark.parametrize("rank, depth, extent", [(1, 8, 12), (2, 8, 6), (3, 4, 4)])
+def test_collapse_precision_on_deep_stacks(rank, depth, extent, weight_range, tol):
+    # one-step through collapse vs the oracle's layered evaluation.  Wide
+    # weights cancel: some rank-3 stacks of 6-8 layers lose digits past
+    # 1e-11 in both paths alike (each about as far from a long-double
+    # evaluation), so rank-3 stacks stay at 4 layers
+    rng = np.random.default_rng([rank, depth])
+    for _ in range(5):
+        model = _deep_stack(rng, rank, depth, weight_range)
+        x = random_input(rng, model.layers[0].in_channels, (extent,) * rank)
+        report = check_equivalence(model, x, tol=tol)
+        assert report.count_mismatches == 0
+        assert report.passed, report
 
 
 def test_check_equivalence_rejects_negative_tol():

@@ -10,13 +10,11 @@ from ghne import (
     Model,
     apply,
     collapse,
-    compare_banks,
     composite_convolve,
     effective_shape,
     layer_to_bank,
-    layered_forward,
 )
-from ghne.oracle import random_input
+from ghne.oracle import compare_banks, layered_forward, random_input
 
 rng = np.random.default_rng(0)
 model = Model(

@@ -3,12 +3,9 @@
 
 import numpy as np
 
-from ghne import (
-    Epitome,
-    convolve,
+from ghne import Epitome, convolve, make_normalized, merged_pair
+from ghne.oracle import (
     find_nonassoc_witness,
-    make_normalized,
-    merged_pair,
     outer_product,
     raw_convolve,
     raw_convolve_with_counts,

@@ -4,7 +4,8 @@ Collapse a stack of generalized-hamming convolution layers into one
 equivalent bank (the deep epitome), apply it to inputs in a single
 step, and verify the equivalence against layered and brute-force
 references.  See the ghd, epitome, banks, oracle, model_io, and cli
-modules; the most-used names are re-exported here.
+modules; the public API is re-exported here, and the verification
+references stay in ghne.oracle.
 """
 
 from .banks import (
@@ -24,6 +25,7 @@ from .banks import (
     resize_strided,
 )
 from .epitome import (
+    CountOverflowError,
     Epitome,
     Histogram,
     add,
@@ -49,19 +51,6 @@ from .model_io import (
     save_epitome,
     save_model,
 )
-from .oracle import (
-    EquivalenceReport,
-    NonAssocReport,
-    OuterProduct,
-    check_equivalence,
-    compare_banks,
-    find_nonassoc_witness,
-    layered_forward,
-    outer_product,
-    raw_convolve,
-    raw_convolve_with_counts,
-)
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -79,6 +68,7 @@ __all__ = [
     "effective_shape",
     "layer_to_bank",
     "resize_strided",
+    "CountOverflowError",
     "Epitome",
     "Histogram",
     "add",
@@ -105,15 +95,5 @@ __all__ = [
     "read_image",
     "save_epitome",
     "save_model",
-    "EquivalenceReport",
-    "NonAssocReport",
-    "OuterProduct",
-    "check_equivalence",
-    "compare_banks",
-    "find_nonassoc_witness",
-    "layered_forward",
-    "outer_product",
-    "raw_convolve",
-    "raw_convolve_with_counts",
     "__version__",
 ]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epitome import Epitome, Histogram, bank_convolve, histogram, mean_fuzziness
+from .epitome import Epitome, Histogram, _PairGrid, bank_convolve, histogram, mean_fuzziness
 
 __all__ = [
     "Bank",
@@ -45,59 +45,17 @@ _STRIDE_FILLS = ("replicate", "fuzzy")
 _CROP_MODES = ("full", "same", "valid")
 
 
-class Bank:
+class Bank(_PairGrid):
     """An m-by-c grid of equally shaped epitomes, stored as stacked arrays.
 
     g and s have shape (m, c, *spatial); member (i, j) is the epitome
     g[i, j], s[i, j].  Immutable after construction.
     """
 
-    __slots__ = ("g", "s")
-
-    def __init__(self, g, s):
-        g = np.array(g, dtype=np.float64)
-        s = np.array(s)
-        if not (np.issubdtype(s.dtype, np.integer) or np.issubdtype(s.dtype, np.bool_)):
-            raise TypeError(f"counts must be integers, got dtype {s.dtype}")
-        s = s.astype(np.int64)
-        if g.ndim < 3:
-            raise ValueError(
-                f"bank arrays must be (m, c, *spatial) with rank >= 3, got rank {g.ndim}"
-            )
-        if g.shape != s.shape:
-            raise ValueError(f"g shape {g.shape} != s shape {s.shape}")
-        if g.size == 0:
-            raise ValueError("bank must have at least one entry per axis")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("non-finite g value in bank")
-        if np.any(s < 1):
-            raise ValueError("every summand count must be >= 1")
-        g.setflags(write=False)
-        s.setflags(write=False)
-        self.g = g
-        self.s = s
-
-    @classmethod
-    def from_epitomes(cls, members) -> "Bank":
-        """Build a bank from an [m][c] nested sequence of Epitomes."""
-        rows = [list(row) for row in members]
-        if not rows or not rows[0]:
-            raise ValueError("bank needs at least one filter and one channel")
-        if any(len(row) != len(rows[0]) for row in rows):
-            raise ValueError("ragged member grid: every filter needs the same channel count")
-        shape = rows[0][0].shape
-        for row in rows:
-            for e in row:
-                if e.shape != shape:
-                    raise ValueError(f"member shape {e.shape} != bank shape {shape}")
-        g = np.stack([np.stack([e.g for e in row]) for row in rows])
-        s = np.stack([np.stack([e.s for e in row]) for row in rows])
-        return cls(g, s)
-
-    @classmethod
-    def single(cls, e: Epitome) -> "Bank":
-        """Wrap one epitome as an m=1, c=1 bank."""
-        return cls(e.g[np.newaxis, np.newaxis], e.s[np.newaxis, np.newaxis])
+    __slots__ = ()
+    _NAME = "bank"
+    _MIN_RANK = 3
+    _RANK_ERROR = "bank arrays must be (m, c, *spatial) with rank >= 3, got rank {}"
 
     @property
     def m(self) -> int:
@@ -115,27 +73,8 @@ class Bank:
     def rank(self) -> int:
         return self.g.ndim - 2
 
-    @property
-    def is_normalized(self) -> bool:
-        return bool(np.all(self.s == 1))
-
     def member(self, i: int, j: int) -> Epitome:
         return Epitome(self.g[i, j], self.s[i, j])
-
-    def values(self) -> np.ndarray:
-        """Normalized entries g/s, shape (m, c, *spatial)."""
-        return self.g / self.s
-
-    def __eq__(self, other):
-        if not isinstance(other, Bank):
-            return NotImplemented
-        return (
-            self.g.shape == other.g.shape
-            and np.array_equal(self.g, other.g)
-            and np.array_equal(self.s, other.s)
-        )
-
-    __hash__ = None
 
     def __repr__(self):
         return f"Bank(m={self.m}, c={self.c}, spatial={self.spatial_shape})"
@@ -162,17 +101,10 @@ class LayerSpec:
             raise ValueError(f"layer '{name}': empty weight grid")
         if not np.all(np.isfinite(weights)):
             raise ValueError(f"layer '{name}': non-finite weight")
-        rank = weights.ndim - 2
-        if isinstance(stride, (int, np.integer)):
-            stride = (int(stride),) * rank
-        else:
-            stride = tuple(int(v) for v in stride)
-        if len(stride) != rank:
-            raise ValueError(
-                f"layer '{name}': stride has {len(stride)} entries for {rank} spatial axes"
-            )
-        if any(v < 1 for v in stride):
-            raise ValueError(f"layer '{name}': stride must be >= 1 on every axis, got {stride}")
+        try:
+            stride = _stride_tuple(stride, weights.ndim - 2, "spatial axes")
+        except ValueError as e:
+            raise ValueError(f"layer '{name}': {e}") from None
         weights.setflags(write=False)
         self.name = str(name)
         self.weights = weights
@@ -260,6 +192,19 @@ class DeepEpitome:
             )
 
 
+def _stride_tuple(stride, rank: int, axes: str = "axes") -> tuple[int, ...]:
+    """A per-axis stride from an int or a sequence, each value >= 1."""
+    if isinstance(stride, (int, np.integer)):
+        stride = (int(stride),) * rank
+    else:
+        stride = tuple(int(v) for v in stride)
+    if len(stride) != rank:
+        raise ValueError(f"stride has {len(stride)} entries for {rank} {axes}")
+    if any(v < 1 for v in stride):
+        raise ValueError(f"stride must be >= 1 on every axis, got {stride}")
+    return stride
+
+
 def resize_strided(kernel, stride, fill: str = "replicate") -> np.ndarray:
     """Replace a stride-s kernel by its stride-1 equivalent, s times larger.
 
@@ -271,14 +216,7 @@ def resize_strided(kernel, stride, fill: str = "replicate") -> np.ndarray:
     kernel = np.array(kernel, dtype=np.float64)
     if kernel.ndim < 1 or kernel.size == 0:
         raise ValueError("kernel must be a non-empty grid")
-    if isinstance(stride, (int, np.integer)):
-        stride = (int(stride),) * kernel.ndim
-    else:
-        stride = tuple(int(v) for v in stride)
-    if len(stride) != kernel.ndim:
-        raise ValueError(f"stride has {len(stride)} entries for {kernel.ndim} axes")
-    if any(v < 1 for v in stride):
-        raise ValueError(f"stride must be >= 1 on every axis, got {stride}")
+    stride = _stride_tuple(stride, kernel.ndim)
     if fill not in _STRIDE_FILLS:
         raise ValueError(f"unknown stride fill {fill!r}, expected one of {_STRIDE_FILLS}")
     if all(v == 1 for v in stride):
@@ -296,19 +234,7 @@ def resize_strided(kernel, stride, fill: str = "replicate") -> np.ndarray:
 
 def layer_to_bank(layer: LayerSpec, fill: str = "replicate") -> Bank:
     """View a layer as a bank of normalized epitomes of its resized kernels."""
-    if fill not in _STRIDE_FILLS:
-        raise ValueError(f"unknown stride fill {fill!r}, expected one of {_STRIDE_FILLS}")
-    w = layer.weights
-    if all(v == 1 for v in layer.stride):
-        g = w.copy()
-    elif fill == "replicate":
-        g = w
-        for axis, v in enumerate(layer.stride):
-            if v > 1:
-                g = np.repeat(g, v, axis=axis + 2)
-    else:
-        g = np.full((layer.out_filters, layer.in_channels) + layer.resized_extents(), 0.5)
-        g[(slice(None), slice(None)) + tuple(slice(None, None, v) for v in layer.stride)] = w
+    g = resize_strided(layer.weights, (1, 1) + layer.stride, fill)
     return Bank(g, np.ones(g.shape, dtype=np.int64))
 
 
@@ -318,9 +244,7 @@ def composite_convolve(a: Bank, b: Bank) -> Bank:
     Requires a.m == b.c.  Output member (i, j) for filter i of b and
     channel j of a is the entrywise epitome sum over k = 0..a.m-1 of
     convolve(a[k, j], b[i, k]), so the result has m = b.m, c = a.c, and
-    the full-convolution spatial shape.  All members come from one
-    bank_convolve call: T = s - 2g and the counts are each contracted
-    over k, offset by offset, and g = (s - T) / 2.
+    the full-convolution spatial shape, all from one bank_convolve call.
     """
     if a.rank != b.rank:
         raise ValueError(f"spatial rank mismatch: {a.rank} vs {b.rank}")
@@ -466,18 +390,12 @@ def bank_stats(bank: Bank, bins: int, value_range=None) -> StatsReport:
     so bin edges line up across members (a constant bank falls back to
     numpy's expanded single-point range).
     """
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
     values = bank.values()
-    if value_range is None:
+    shared = value_range
+    if shared is None:
         lo = float(values.min())
         hi = float(values.max())
         shared = (lo, hi) if lo < hi else None
-    else:
-        lo, hi = value_range
-        if not lo < hi:
-            raise ValueError(f"empty histogram range: ({lo}, {hi})")
-        shared = (float(lo), float(hi))
     members = []
     for i in range(bank.m):
         for j in range(bank.c):

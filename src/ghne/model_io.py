@@ -33,7 +33,6 @@ import tempfile
 import numpy as np
 
 from .banks import Bank, DeepEpitome, LayerSpec, Model, StatsReport
-from .epitome import Histogram
 
 __all__ = [
     "FormatError",
@@ -53,7 +52,6 @@ __all__ = [
     "write_ppm",
     "write_member_images",
     "write_pseudo_color_images",
-    "write_histogram_csv",
     "write_stats_csv",
     "write_series_csv",
     "write_features_csv",
@@ -519,14 +517,6 @@ def write_pseudo_color_images(bank: Bank, out_dir, prefix: str = "member") -> li
 
 # ---------------------------------------------------------------------------
 # CSV
-
-
-def write_histogram_csv(hist: Histogram, path):
-    """One row per bin: bin_lo,bin_hi,count."""
-    lines = ["bin_lo,bin_hi,count"]
-    for k in range(hist.counts.size):
-        lines.append(f"{_fmt(hist.bin_edges[k])},{_fmt(hist.bin_edges[k + 1])},{int(hist.counts[k])}")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_stats_csv(report: StatsReport, path):

@@ -194,7 +194,10 @@ def layered_forward(model: Model, input_bank: Bank, fill: str = "replicate") -> 
 
 
 def compare_banks(reference: Bank, candidate: Bank, tol: float) -> EquivalenceReport:
-    """Entrywise comparison; reports mismatches instead of raising."""
+    """Entrywise comparison; reports mismatches instead of raising.
+
+    Only .g and .s are read, so two Epitomes compare the same way.
+    """
     if reference.g.shape != candidate.g.shape:
         raise ValueError(
             f"cannot compare banks of different shape: "
@@ -209,6 +212,20 @@ def compare_banks(reference: Bank, candidate: Bank, tol: float) -> EquivalenceRe
         max_rel_error=max_rel,
         count_mismatches=count_mismatches,
         entries_compared=int(reference.g.size),
+        tol=float(tol),
+        passed=count_mismatches == 0 and max_rel <= tol,
+    )
+
+
+def _combine(reports: list, tol: float) -> EquivalenceReport:
+    """Merge per-trial reports: worst errors, summed counts and entries."""
+    max_rel = max((r.max_rel_error for r in reports), default=0.0)
+    count_mismatches = sum(r.count_mismatches for r in reports)
+    return EquivalenceReport(
+        max_abs_error=max((r.max_abs_error for r in reports), default=0.0),
+        max_rel_error=max_rel,
+        count_mismatches=count_mismatches,
+        entries_compared=sum(r.entries_compared for r in reports),
         tol=float(tol),
         passed=count_mismatches == 0 and max_rel <= tol,
     )
@@ -325,29 +342,11 @@ def suite_pairwise_sum_identity(rng, trials: int = 100, tol: float = 1e-12) -> E
 
 def suite_epitome_associativity(rng, trials: int = 100, tol: float = 1e-9) -> EquivalenceReport:
     """(a * b) * c vs a * (b * c) on random epitomes, counts carried."""
-    max_abs = 0.0
-    max_rel = 0.0
-    count_mismatches = 0
-    entries = 0
+    reports = []
     for _ in range(trials):
-        a = random_epitome(rng)
-        b = random_epitome(rng)
-        c = random_epitome(rng)
-        left = convolve(convolve(a, b), c)
-        right = convolve(a, convolve(b, c))
-        abs_err = np.abs(left.g - right.g)
-        max_abs = max(max_abs, float(abs_err.max()))
-        max_rel = max(max_rel, float((abs_err / np.maximum(1.0, np.abs(left.g))).max()))
-        count_mismatches += int(np.count_nonzero(left.s != right.s))
-        entries += int(left.g.size)
-    return EquivalenceReport(
-        max_abs_error=max_abs,
-        max_rel_error=max_rel,
-        count_mismatches=count_mismatches,
-        entries_compared=entries,
-        tol=float(tol),
-        passed=count_mismatches == 0 and max_rel <= tol,
-    )
+        a, b, c = (random_epitome(rng) for _ in range(3))
+        reports.append(compare_banks(convolve(convolve(a, b), c), convolve(a, convolve(b, c)), tol))
+    return _combine(reports, tol)
 
 
 def suite_collapse_equivalence(
@@ -362,28 +361,14 @@ def suite_collapse_equivalence(
     With a fixed model, each trial draws a fresh random input; without
     one, each trial also draws a fresh random model.
     """
-    max_abs = 0.0
-    max_rel = 0.0
-    count_mismatches = 0
-    entries = 0
+    reports = []
     for _ in range(trials):
         m = model if model is not None else random_model(rng, weight_range=weight_range)
         rank = m.layers[0].rank
         shape = tuple(int(rng.integers(1, 17)) for _ in range(rank))
         input_bank = random_input(rng, m.layers[0].in_channels, shape)
-        report = check_equivalence(m, input_bank, tol)
-        max_abs = max(max_abs, report.max_abs_error)
-        max_rel = max(max_rel, report.max_rel_error)
-        count_mismatches += report.count_mismatches
-        entries += report.entries_compared
-    return EquivalenceReport(
-        max_abs_error=max_abs,
-        max_rel_error=max_rel,
-        count_mismatches=count_mismatches,
-        entries_compared=entries,
-        tol=float(tol),
-        passed=count_mismatches == 0 and max_rel <= tol,
-    )
+        reports.append(check_equivalence(m, input_bank, tol))
+    return _combine(reports, tol)
 
 
 def suite_raw_nonassociativity(

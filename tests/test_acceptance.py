@@ -17,23 +17,28 @@ from ghne import (
     LayerSpec,
     Model,
     TruncatedError,
-    check_equivalence,
     collapse,
     convolve,
     effective_shape,
-    find_nonassoc_witness,
     fuzziness,
     ghd,
     load_epitome,
     make_normalized,
     mean_fuzziness,
-    raw_convolve_with_counts,
     save_epitome,
 )
 from ghne.cli import main
 from ghne.ghd import analytic_bias
 from ghne.model_io import save_model
-from ghne.oracle import random_bank, random_epitome, random_input, random_model
+from ghne.oracle import (
+    check_equivalence,
+    find_nonassoc_witness,
+    random_bank,
+    random_epitome,
+    random_input,
+    random_model,
+    raw_convolve_with_counts,
+)
 
 
 def test_criterion_1_pairwise_sum_identity(record_criterion):

@@ -5,6 +5,7 @@ import pytest
 
 from ghne import (
     Bank,
+    CountOverflowError,
     DeepEpitome,
     Epitome,
     LayerSpec,
@@ -13,7 +14,6 @@ from ghne import (
     apply,
     bank_stats,
     collapse,
-    compare_banks,
     composite_convolve,
     convolve,
     crop_bank,
@@ -21,7 +21,7 @@ from ghne import (
     layer_to_bank,
     resize_strided,
 )
-from ghne.oracle import random_bank, random_input, random_model
+from ghne.oracle import compare_banks, random_bank, random_input, random_model
 
 
 def small_model(rng=None):
@@ -85,37 +85,6 @@ def test_bank_is_immutable():
         b.g[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         b.s[0, 0, 0] = 2
-
-
-def test_bank_from_epitomes_round_trips_members():
-    e00 = Epitome([0.1, 0.2], [1, 2])
-    e01 = Epitome([0.3, 0.4], [3, 1])
-    e10 = Epitome([0.5, 0.6], [2, 2])
-    e11 = Epitome([0.7, 0.8], [1, 1])
-    b = Bank.from_epitomes([[e00, e01], [e10, e11]])
-    assert b.m == 2 and b.c == 2 and b.spatial_shape == (2,)
-    assert b.member(0, 1) == e01
-    assert b.member(1, 0) == e10
-
-
-def test_bank_from_epitomes_rejects_ragged():
-    e = Epitome([0.1], [1])
-    with pytest.raises(ValueError):
-        Bank.from_epitomes([[e, e], [e]])
-    with pytest.raises(ValueError):
-        Bank.from_epitomes([])
-
-
-def test_bank_from_epitomes_rejects_mixed_shapes():
-    with pytest.raises(ValueError):
-        Bank.from_epitomes([[Epitome([0.1], [1]), Epitome([0.1, 0.2], [1, 1])]])
-
-
-def test_bank_single_wraps_one_epitome():
-    e = Epitome([0.1, 0.9], [2, 3])
-    b = Bank.single(e)
-    assert (b.m, b.c) == (1, 1)
-    assert b.member(0, 0) == e
 
 
 def test_bank_values_and_equality():
@@ -255,7 +224,8 @@ def test_composite_single_member_reduces_to_convolve():
     rng = np.random.default_rng(2)
     x = Epitome(rng.uniform(-1, 1, 4), rng.integers(1, 4, 4))
     y = Epitome(rng.uniform(-1, 1, 3), rng.integers(1, 4, 3))
-    out = composite_convolve(Bank.single(x), Bank.single(y))
+    one = (np.newaxis, np.newaxis)
+    out = composite_convolve(Bank(x.g[one], x.s[one]), Bank(y.g[one], y.s[one]))
     assert out.member(0, 0) == convolve(x, y)
 
 
@@ -276,14 +246,15 @@ def test_composite_matches_hand_loop():
     out = composite_convolve(a, b)
     members = []
     for i in range(b.m):
-        row = []
         for j in range(a.c):
             acc = convolve(a.member(0, j), b.member(i, 0))
             for k in range(1, a.m):
                 acc = add(acc, convolve(a.member(k, j), b.member(i, k)))
-            row.append(acc)
-        members.append(row)
-    hand = Bank.from_epitomes(members)
+            members.append(acc)
+    shape = (b.m, a.c) + members[0].shape
+    hand = Bank(
+        np.reshape([e.g for e in members], shape), np.reshape([e.s for e in members], shape)
+    )
     assert np.array_equal(out.s, hand.s)
     report = compare_banks(hand, out, tol=1e-12)
     assert report.passed, report
@@ -402,6 +373,33 @@ def test_collapse_count_totals_law():
         expected *= layer.in_channels * int(np.prod(layer.resized_extents()))
     totals = deep.bank.s.sum(axis=tuple(range(2, deep.bank.s.ndim)))
     assert np.all(totals == expected)
+
+
+def _seeded_stack(widths, kernel):
+    # stride-1 square kernels, seed-0 weights in [0, 1]
+    rng = np.random.default_rng(0)
+    return Model(
+        LayerSpec(f"conv{i + 1}", rng.uniform(0, 1, (w_out, w_in, kernel, kernel)), 1)
+        for i, (w_in, w_out) in enumerate(zip(widths, widths[1:]))
+    )
+
+
+def test_collapse_count_overflow_on_deep_1x1_stack():
+    # the one count is 5**28 > 2**63, which an int64 contraction wraps silently
+    with pytest.raises(CountOverflowError, match=str(5**28)):
+        collapse(_seeded_stack([1] + [5] * 29, 1))
+
+
+def test_collapse_count_overflow_on_wide_3x3_stack():
+    # an int64 contraction wraps these counts negative ("must be >= 1")
+    with pytest.raises(CountOverflowError, match="exceeds the int64 maximum"):
+        collapse(_seeded_stack([1] + [64] * 9, 3))
+
+
+def test_collapse_count_just_below_int64_is_exact():
+    # centre count 64**7 * 1107**2, where 1107 is the centre of (1 + x + x**2)**8
+    deep = collapse(_seeded_stack([1] + [64] * 8, 3))
+    assert int(deep.bank.s.max()) == int(deep.bank.s[0, 0, 8, 8]) == 64**7 * 1107**2
 
 
 def test_deep_epitome_validates_shape():

@@ -15,6 +15,7 @@ from ghne import (
     save_epitome,
     save_model,
 )
+from ghne import oracle
 from ghne.cli import main
 from ghne.model_io import write_pgm
 from ghne.oracle import random_bank
@@ -101,6 +102,22 @@ def test_collapse_twice_writes_identical_files(model_file, tmp_path):
     assert main(["collapse", "--model", path, "--out", b]) == 0
     with open(a, "rb") as fa, open(b, "rb") as fb:
         assert fa.read() == fb.read()
+
+
+def test_collapse_count_overflow_is_usage_error(tmp_path, capsys):
+    # 29 layers of 1x1 kernels, widths 1 then 5s: the one count is 5**28 > 2**63
+    rng = np.random.default_rng(0)
+    widths = [1] + [5] * 29
+    model = Model(
+        LayerSpec(f"conv{i + 1}", rng.uniform(0, 1, (w_out, w_in, 1, 1)), 1)
+        for i, (w_in, w_out) in enumerate(zip(widths, widths[1:]))
+    )
+    path = tmp_path / "deep29.ghnm"
+    save_model(model, path)
+    out = tmp_path / "deep29.ghne"
+    assert main(["collapse", "--model", str(path), "--out", str(out)]) == 2
+    assert "exceeds the int64 maximum" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- apply ---------------------------------------------------------------------
@@ -291,6 +308,22 @@ def test_bench_single_rep(model_file, capsys):
     lines = capsys.readouterr().out.splitlines()
     modes = [line.split(",")[0] for line in lines[1:]]
     assert modes == ["collapse", "layered", "one_step"]
+
+
+def test_bench_refuses_timings_when_the_gate_fails(model_file, monkeypatch, capsys):
+    path, _ = model_file
+    layered_forward = oracle.layered_forward
+
+    def perturbed(model, input_bank, fill="replicate"):
+        reference = layered_forward(model, input_bank, fill)
+        return Bank(reference.g * (1 + 1e-6), reference.s)
+
+    monkeypatch.setattr(oracle, "layered_forward", perturbed)
+    assert main(["bench", "--model", path, "--input-size", "8", "--reps", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "refusing" in captured.err
+    assert "bench-equivalence: FAIL" in captured.err
 
 
 def test_stats_constant_half_bank(tmp_path, capsys):

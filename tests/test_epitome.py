@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghne import (
+    CountOverflowError,
     Epitome,
     add,
     convolve,
@@ -157,6 +158,17 @@ def test_convolve_absorbing_entry():
     assert np.allclose(out.g, 0.5 * counted.s, atol=1e-15)
 
 
+def test_convolve_counts_past_the_int64_bound():
+    # a count bound of 2**62 * 2 terms reaches 2**63, so the counts are
+    # contracted in Python ints: a largest count of 2**62 comes back exact,
+    # and 2**65 is refused by name instead of wrapping
+    a = Epitome([0.0, 0.0], [2**31, 1])
+    assert convolve(a, a).s.tolist() == [2**62, 2**32, 1]
+    b = Epitome([0.0, 0.0], [2**32, 2**32])
+    with pytest.raises(CountOverflowError, match=str(2**65)):
+        convolve(b, b)
+
+
 def test_convolve_rank_mismatch():
     with pytest.raises(ValueError):
         convolve(make_normalized([0.1]), make_normalized([[0.1]]))
@@ -230,11 +242,11 @@ def test_import_does_not_load_scipy():
     # the kernels are numpy only; scipy would add its import time and memory
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    code = "import sys, ghne; print('scipy' in sys.modules)"
+    code = "import sys, ghne; print('scipy' in sys.modules, 'ghne.oracle' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 # --- summation -------------------------------------------------------------

@@ -18,17 +18,14 @@ from ghne import (
     VersionError,
     bank_stats,
     collapse,
-    histogram,
     load_epitome,
     load_model,
-    make_normalized,
     read_image,
     save_epitome,
     save_model,
 )
 from ghne.model_io import (
     write_features_csv,
-    write_histogram_csv,
     write_member_images,
     write_pgm,
     write_ppm,
@@ -505,17 +502,6 @@ def test_pseudo_color_requires_three_channels(tmp_path):
 
 
 # --- CSV writers ---------------------------------------------------------------
-
-
-def test_histogram_csv(tmp_path):
-    e = make_normalized([0.1, 0.2, 0.8])
-    h = histogram(e, bins=2, value_range=(0.0, 1.0))
-    p = tmp_path / "h.csv"
-    write_histogram_csv(h, p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "bin_lo,bin_hi,count"
-    assert lines[1] == "0.0,0.5,2"
-    assert lines[2] == "0.5,1.0,1"
 
 
 def test_stats_csv_blocks(tmp_path):

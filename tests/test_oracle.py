@@ -7,26 +7,26 @@ from ghne import (
     Bank,
     LayerSpec,
     Model,
-    check_equivalence,
-    compare_banks,
     composite_convolve,
     convolve,
-    find_nonassoc_witness,
     ghd,
     ghd_fold,
     layer_to_bank,
-    layered_forward,
     make_normalized,
-    outer_product,
-    raw_convolve,
-    raw_convolve_with_counts,
 )
 from ghne.oracle import (
+    check_equivalence,
+    compare_banks,
+    find_nonassoc_witness,
+    layered_forward,
+    outer_product,
     random_bank,
     random_epitome,
     random_input,
     random_model,
     random_normalized_epitome,
+    raw_convolve,
+    raw_convolve_with_counts,
     reference_composite,
     suite_collapse_equivalence,
     suite_epitome_associativity,
@@ -159,7 +159,7 @@ def test_reference_composite_matches_raw_grouping():
     rng = np.random.default_rng(12)
     for _ in range(30):
         x, y, z = (rng.uniform(-1, 2, int(rng.integers(1, 7))) for _ in range(3))
-        bx, by, bz = (Bank.single(make_normalized(v)) for v in (x, y, z))
+        bx, by, bz = (Bank([[v]], np.ones((1, 1, v.size), dtype=np.int64)) for v in (x, y, z))
         xy = reference_composite(bx, by)
         for factors, out in (([x, y], xy), ([x, y, z], reference_composite(xy, bz))):
             sums, counts = raw_convolve_with_counts(factors)

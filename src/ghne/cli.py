@@ -1,9 +1,9 @@
 """Command-line surface: collapse, apply, verify, stats, render, bench, demo.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or file-format
-errors.  Every command is deterministic given its flags and seed, and
-output files are written atomically, so a failing run never leaves a
-partial file.
+errors, a count overflow or a failed allocation among them.  Every
+command is deterministic given its flags and seed, and output files are
+written atomically, so a failing run never leaves a partial file.
 """
 
 from __future__ import annotations
@@ -352,8 +352,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (model_io.FormatError, ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (model_io.FormatError, ValueError, OSError, MemoryError) as e:
+        # a failed allocation may carry no message
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return _EXIT_USAGE
 
 

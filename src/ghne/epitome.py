@@ -67,11 +67,12 @@ class _PairGrid:
 
     def __init__(self, g, s):
         g = np.array(g, dtype=np.float64)
-        s = np.array(s)
+        s = np.asarray(s)
         if not (np.issubdtype(s.dtype, np.integer) or np.issubdtype(s.dtype, np.bool_)):
             # reject silent float counts; exact integer arithmetic is load-bearing
             raise TypeError(f"counts must be integers, got dtype {s.dtype}")
-        s = s.astype(np.int64)
+        # one copy, which the frozen arrays below depend on
+        s = np.array(s, dtype=np.int64)
         if g.ndim < self._MIN_RANK:
             raise ValueError(self._RANK_ERROR.format(g.ndim))
         if g.shape != s.shape:
@@ -222,12 +223,20 @@ def bank_convolve(ga, sa, gb, sb):
         at = (slice(None), slice(None)) + p
         t[window] += np.tensordot(tb[at], ta, axes=(1, 0))
         s[window] += np.tensordot(sb[at], sa, axes=(1, 0))
-    if count_type is object and s.max() > _INT64_MAX:
+    s = _int64_counts(s)
+    return 0.5 * (s - t), s
+
+
+def _int64_counts(s):
+    """Exactly summed counts (float64, int64 or Python ints) as int64.
+
+    A count past the int64 maximum raises CountOverflowError.
+    """
+    if s.dtype == object and s.max() > _INT64_MAX:
         raise CountOverflowError(
             f"summand count {s.max()} exceeds the int64 maximum {_INT64_MAX}"
         )
-    s = s.astype(np.int64)
-    return 0.5 * (s - t), s
+    return s.astype(np.int64)
 
 
 def convolve(a: Epitome, b: Epitome) -> Epitome:

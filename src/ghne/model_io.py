@@ -24,6 +24,7 @@ command never leaves a partial file behind.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import re
@@ -91,6 +92,8 @@ _VERSION = 1
 _PAIR_DTYPE = np.dtype([("g", "<f8"), ("s", "<u8")])
 _NAME_RE = re.compile(r"[A-Za-z0-9_.-]+")
 _MODEL_HEADER = "ghne-model v1"
+_ONE_INT, _EXTENTS = "one positive integer", "positive integer extents"
+_FIELD_SYNTAX = {"filters": _ONE_INT, "channels": _ONE_INT, "kernel": _EXTENTS, "stride": _EXTENTS}
 
 
 def _atomic_write(path, data: bytes):
@@ -154,95 +157,86 @@ def load_model(path) -> Model:
         fail(lineno, f"expected header '{_MODEL_HEADER}', got {' '.join(words)!r}")
 
     layers = []
-    seen_names = set()
     pos = 1
     while pos < len(lines):
         lineno, words = lines[pos]
         if words[0] != "layer" or len(words) != 2:
             fail(lineno, f"expected 'layer <name>', got {' '.join(words)!r}")
         name = words[1]
-        if name in seen_names:
+        if any(layer.name == name for layer in layers):
             fail(lineno, f"duplicate layer name {name!r}")
-        seen_names.add(name)
         pos += 1
 
         fields = {}
-        weights = None
         while pos < len(lines):
             lineno, words = lines[pos]
-            key = words[0]
-            if key == "layer":
+            key, args = words[0], words[1:]
+            if key in ("layer", "weights"):
                 break
-            if key in ("filters", "channels"):
-                if key in fields:
-                    fail(lineno, f"layer {name!r}: duplicate field {key!r}")
-                if len(words) != 2 or not words[1].isdigit() or int(words[1]) < 1:
-                    fail(lineno, f"layer {name!r}: {key} needs one positive integer")
-                fields[key] = int(words[1])
-                pos += 1
-            elif key in ("kernel", "stride"):
-                if key in fields:
-                    fail(lineno, f"layer {name!r}: duplicate field {key!r}")
-                if len(words) < 2 or not all(w.isdigit() and int(w) >= 1 for w in words[1:]):
-                    fail(lineno, f"layer {name!r}: {key} needs positive integer extents")
-                fields[key] = tuple(int(w) for w in words[1:])
-                pos += 1
-            elif key == "weights":
-                missing = [k for k in ("filters", "channels", "kernel") if k not in fields]
-                if missing:
-                    fail(lineno, f"layer {name!r}: weights before {', '.join(missing)}")
-                count = fields["filters"] * fields["channels"] * math.prod(fields["kernel"])
-                if len(words) == 2 and words[1] == "inline":
-                    pos += 1
-                    values = []
-                    while len(values) < count and pos < len(lines):
-                        vline, vwords = lines[pos]
-                        if vwords[0] in ("layer", "weights"):
-                            break
-                        for w in vwords:
-                            try:
-                                values.append(float(w))
-                            except ValueError:
-                                fail(vline, f"layer {name!r}: bad weight value {w!r}")
-                        pos += 1
-                    if len(values) != count:
-                        fail(
-                            lineno,
-                            f"layer {name!r}: expected {count} weights "
-                            f"(filters*channels*kernel), got {len(values)}",
-                        )
-                    weights = np.array(values)
-                elif len(words) == 3 and words[1] == "blob":
-                    rel = words[2]
-                    if os.path.isabs(rel):
-                        fail(lineno, f"layer {name!r}: blob path must be relative, got {rel!r}")
-                    blob_path = os.path.join(os.path.dirname(path) or ".", rel)
-                    try:
-                        with open(blob_path, "rb") as bf:
-                            blob = bf.read()
-                    except OSError as e:
-                        fail(lineno, f"layer {name!r}: cannot read weight blob {rel!r}: {e}")
-                    if len(blob) != count * 8:
-                        fail(
-                            lineno,
-                            f"layer {name!r}: blob {rel!r} holds {len(blob) // 8} float64 "
-                            f"values, expected {count}",
-                        )
-                    weights = np.frombuffer(blob, dtype="<f8").astype(np.float64)
-                    pos += 1
-                else:
-                    fail(lineno, f"layer {name!r}: expected 'weights inline' or 'weights blob <path>'")
-                break
-            else:
+            if key not in _FIELD_SYNTAX:
                 fail(lineno, f"layer {name!r}: unknown field {key!r}")
-        if weights is None:
+            if key in fields:
+                fail(lineno, f"layer {name!r}: duplicate field {key!r}")
+            syntax = _FIELD_SYNTAX[key]
+            bad_arity = len(args) != 1 if syntax == _ONE_INT else not args
+            if bad_arity or not all(w.isdigit() and int(w) >= 1 for w in args):
+                fail(lineno, f"layer {name!r}: {key} needs {syntax}")
+            fields[key] = tuple(int(w) for w in args)
+            pos += 1
+        # lineno/words are the line that ended the block (or the last line)
+        if pos == len(lines) or words[0] != "weights":
             fail(lineno, f"layer {name!r}: missing weights")
-        shape = (fields["filters"], fields["channels"]) + fields["kernel"]
-        stride = fields.get("stride", (1,) * len(fields["kernel"]))
+        missing = [k for k in ("filters", "channels", "kernel") if k not in fields]
+        if missing:
+            fail(lineno, f"layer {name!r}: weights before {', '.join(missing)}")
+        shape = fields["filters"] + fields["channels"] + fields["kernel"]
+        count = math.prod(shape)
+        if words[1:] == ["inline"]:
+            pos += 1
+            values = []
+            while len(values) < count and pos < len(lines):
+                vline, vwords = lines[pos]
+                if vwords[0] in ("layer", "weights"):
+                    break
+                for w in vwords:
+                    try:
+                        values.append(float(w))
+                    except ValueError:
+                        fail(vline, f"layer {name!r}: bad weight value {w!r}")
+                pos += 1
+            if len(values) != count:
+                fail(
+                    lineno,
+                    f"layer {name!r}: expected {count} weights "
+                    f"(filters*channels*kernel), got {len(values)}",
+                )
+            weights = np.array(values)
+        elif len(words) == 3 and words[1] == "blob":
+            rel = words[2]
+            if os.path.isabs(rel):
+                fail(lineno, f"layer {name!r}: blob path must be relative, got {rel!r}")
+            blob_path = os.path.join(os.path.dirname(path) or ".", rel)
+            try:
+                with open(blob_path, "rb") as bf:
+                    blob = bf.read()
+            except OSError as e:
+                fail(lineno, f"layer {name!r}: cannot read weight blob {rel!r}: {e}")
+            if len(blob) != count * 8:
+                fail(
+                    lineno,
+                    f"layer {name!r}: blob {rel!r} holds {len(blob) // 8} float64 "
+                    f"values, expected {count}",
+                )
+            weights = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+            pos += 1
+        else:
+            fail(lineno, f"layer {name!r}: expected 'weights inline' or 'weights blob <path>'")
+        rank = len(fields["kernel"])
+        stride = fields.get("stride", (1,))
         if len(stride) == 1:
-            stride = stride * len(fields["kernel"])
-        if len(stride) != len(fields["kernel"]):
-            fail(lineno, f"layer {name!r}: stride rank {len(stride)} != kernel rank {len(fields['kernel'])}")
+            stride = stride * rank
+        if len(stride) != rank:
+            fail(lineno, f"layer {name!r}: stride rank {len(stride)} != kernel rank {rank}")
         try:
             layers.append(LayerSpec(name, weights.reshape(shape), stride))
         except ValueError as e:
@@ -288,7 +282,7 @@ def save_model(model: Model, path, weights_mode: str = "inline"):
                 flat.astype("<f8").tobytes(),
             )
             lines.append(f"weights blob {blob_name}")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -343,17 +337,12 @@ def load_epitome(path) -> Bank:
             )
         if f.read(1):
             raise EpitomeFormatError("trailing data after the declared entries")
-    arr = np.frombuffer(data, dtype=_PAIR_DTYPE)
-    shape = (m, c) + extents
-    g = arr["g"].reshape(shape).copy()
-    s_raw = arr["s"]
-    if np.any(s_raw > np.iinfo(np.int64).max):
+    arr = np.frombuffer(data, dtype=_PAIR_DTYPE).reshape((m, c) + extents)
+    # the int64 cast below would wrap these silently
+    if np.any(arr["s"] > np.iinfo(np.int64).max):
         raise EpitomeFormatError("summand count exceeds the supported range")
-    if np.any(s_raw < 1):
-        raise EpitomeFormatError("summand count < 1 in entry stream")
-    s = s_raw.astype(np.int64).reshape(shape)
     try:
-        return Bank(g, s)
+        return Bank(arr["g"], arr["s"].astype(np.int64))
     except ValueError as e:
         raise EpitomeFormatError(str(e)) from e
 
@@ -413,13 +402,8 @@ def read_image(path) -> Bank:
             raise ImageFormatError(
                 f"truncated raster: expected {expected} bytes, got {len(raster)}"
             )
-    data = np.frombuffer(raster, dtype=np.uint8)
-    if planes == 1:
-        g = (data / 255.0).reshape(1, 1, height, width)
-    else:
-        g = (data.reshape(height, width, 3).transpose(2, 0, 1) / 255.0).reshape(
-            3, 1, height, width
-        )
+    data = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, planes)
+    g = (data.transpose(2, 0, 1) / 255.0).reshape(planes, 1, height, width)
     return Bank(g, np.ones(g.shape, dtype=np.int64))
 
 
@@ -480,9 +464,7 @@ def write_member_images(bank: Bank, out_dir, prefix: str = "member") -> list:
             write_pgm(os.path.join(out_dir, filename), pixels)
             sidecar.append(_sidecar_line(filename, lo, hi, constant))
             written.append(os.path.join(out_dir, filename))
-    _atomic_write(
-        os.path.join(out_dir, "scaling.txt"), ("\n".join(sidecar) + "\n").encode("utf-8")
-    )
+    write_text(os.path.join(out_dir, "scaling.txt"), "\n".join(sidecar) + "\n")
     return written
 
 
@@ -509,9 +491,7 @@ def write_pseudo_color_images(bank: Bank, out_dir, prefix: str = "member") -> li
             sidecar.append(_sidecar_line(filename, lo, hi, constant, channel=j))
         write_ppm(os.path.join(out_dir, filename), np.stack(planes, axis=-1))
         written.append(os.path.join(out_dir, filename))
-    _atomic_write(
-        os.path.join(out_dir, "scaling.txt"), ("\n".join(sidecar) + "\n").encode("utf-8")
-    )
+    write_text(os.path.join(out_dir, "scaling.txt"), "\n".join(sidecar) + "\n")
     return written
 
 
@@ -540,7 +520,7 @@ def write_stats_csv(report: StatsReport, path):
     for stats in report.members:
         block(stats)
     block(report.aggregate)
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_series_csv(rows, path, header=("label", "value")):
@@ -548,7 +528,7 @@ def write_series_csv(rows, path, header=("label", "value")):
     lines = [",".join(header)]
     for label, value in rows:
         lines.append(f"{label},{_fmt(value)}")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_features_csv(bank: Bank, path):
@@ -563,10 +543,11 @@ def write_features_csv(bank: Bank, path):
         axis_names = [f"axis{k}" for k in range(bank.rank)]
     lines = ["filter,channel," + ",".join(axis_names) + ",value"]
     values = bank.values()
+    axes = itertools.product(*(map(str, range(n)) for n in bank.spatial_shape))
+    coords = [",".join(idx) for idx in axes]
     for i in range(bank.m):
         for j in range(bank.c):
-            member = values[i, j]
-            for idx in np.ndindex(member.shape):
-                coords = ",".join(str(v) for v in idx)
-                lines.append(f"{i},{j},{coords},{_fmt(member[idx])}")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+            # repr of a Python float is _fmt; one tolist per member keeps the peak low
+            member = values[i, j].ravel().tolist()
+            lines += [f"{i},{j},{xy},{v!r}" for xy, v in zip(coords, member)]
+    write_text(path, "\n".join(lines) + "\n")

@@ -17,12 +17,13 @@ error in either one shows up as a disagreement between the two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .banks import Bank, LayerSpec, Model, apply, collapse, layer_to_bank
-from .epitome import Epitome, convolve, make_normalized
+from .epitome import Epitome, _int64_counts, convolve, make_normalized
 from .ghd import ghd
 
 __all__ = [
@@ -143,34 +144,40 @@ def _add_member_convolution(g, s, ga, sa, gb, sb):
 
     For every offset p of b, the window of the output that a lands on
     gets the merged pairs of a with entry p of b, in the additive form
-    g_a*s_b + s_a*g_b - 2*g_a*g_b, and the counts s_a*s_b.
+    g_a*s_b + s_a*g_b - 2*g_a*g_b, and the counts s_a*s_b in s's dtype
+    (int64, or object for Python ints).
     """
+    counts_a = sa.astype(s.dtype, copy=False)
     for p in np.ndindex(gb.shape):
         window = tuple(slice(o, o + n) for o, n in zip(p, ga.shape))
         g[window] += ga * sb[p] + sa * gb[p] - 2.0 * ga * gb[p]
-        s[window] += sa * sb[p]
+        s[window] += counts_a * int(sb[p])
 
 
 def reference_composite(a: Bank, b: Bank) -> Bank:
     """Composite convolution member by member, the slow twin of composite_convolve.
 
     Output member (i, j) accumulates the convolution of a[k, j] with
-    b[i, k] for k = 0..a.m-1 in ascending order.
+    b[i, k] for k = 0..a.m-1 in ascending order.  Counts that could pass
+    the int64 maximum are summed as Python ints, and one that does
+    raises CountOverflowError.
     """
     if a.rank != b.rank:
         raise ValueError(f"spatial rank mismatch: {a.rank} vs {b.rank}")
     if a.m != b.c:
         raise ValueError(f"bank mismatch: a.m={a.m} but b.c={b.c}")
     shape = (b.m, a.c) + tuple(x + y - 1 for x, y in zip(a.spatial_shape, b.spatial_shape))
+    # an output entry sums at most a.m * |B| terms, each at most max(s_a) * max(s_b)
+    bound = int(a.s.max()) * int(b.s.max()) * a.m * math.prod(b.spatial_shape)
     g = np.zeros(shape)
-    s = np.zeros(shape, dtype=np.int64)
+    s = np.zeros(shape, dtype=object if bound >= 2**63 else np.int64)
     for i in range(b.m):
         for j in range(a.c):
             for k in range(a.m):
                 _add_member_convolution(
                     g[i, j], s[i, j], a.g[k, j], a.s[k, j], b.g[i, k], b.s[i, k]
                 )
-    return Bank(g, s)
+    return Bank(g, _int64_counts(s))
 
 
 def layered_forward(model: Model, input_bank: Bank, fill: str = "replicate") -> Bank:

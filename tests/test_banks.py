@@ -21,7 +21,7 @@ from ghne import (
     layer_to_bank,
     resize_strided,
 )
-from ghne.oracle import compare_banks, random_bank, random_input, random_model
+from ghne.oracle import compare_banks, layered_forward, random_bank, random_input, random_model
 
 
 def small_model(rng=None):
@@ -388,6 +388,13 @@ def test_collapse_count_overflow_on_deep_1x1_stack():
     # the one count is 5**28 > 2**63, which an int64 contraction wraps silently
     with pytest.raises(CountOverflowError, match=str(5**28)):
         collapse(_seeded_stack([1] + [5] * 29, 1))
+
+
+def test_layered_forward_count_overflow_on_deep_1x1_stack():
+    # the reference's int64 counts wrapped this 5**28 to 359414837200037393
+    x = Bank(np.full((1, 1, 1, 1), 0.5), np.ones((1, 1, 1, 1), dtype=np.int64))
+    with pytest.raises(CountOverflowError, match=str(5**28)):
+        layered_forward(_seeded_stack([1] + [5] * 29, 1), x)
 
 
 def test_collapse_count_overflow_on_wide_3x3_stack():

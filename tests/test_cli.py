@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, run in-process via cli.main."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -117,6 +118,35 @@ def test_collapse_count_overflow_is_usage_error(tmp_path, capsys):
     out = tmp_path / "deep29.ghne"
     assert main(["collapse", "--model", str(path), "--out", str(out)]) == 2
     assert "exceeds the int64 maximum" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def only_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and err[0] != "error: "
+
+
+def test_collapse_allocation_failure_is_usage_error(tmp_path, capsys):
+    # stride 2**59 resizes the one-weight kernel to 2**59 float64s (4 EiB)
+    path = tmp_path / "huge.ghnm"
+    path.write_text(
+        "ghne-model v1\nlayer a\nfilters 1\nchannels 1\nkernel 1\n"
+        f"stride {2**59}\nweights inline\n0.5\n"
+    )
+    out = tmp_path / "huge.ghne"
+    assert main(["collapse", "--model", str(path), "--out", str(out)]) == 2
+    only_error_line(capsys)
+    assert not out.exists()
+
+
+def test_stats_on_a_32_gib_header_is_usage_error(tmp_path, capsys):
+    # 2**31 declared entries of 16 bytes: the read either cannot be allocated
+    # (MemoryError) or comes back short (TruncatedError); both are exit 2
+    path = tmp_path / "huge.ghne"
+    path.write_bytes(b"GHNE" + struct.pack("<IIIII", 1, 1, 1, 1, 2**31))
+    out = tmp_path / "stats.csv"
+    assert main(["stats", "--epitome", str(path), "--out", str(out)]) == 2
+    only_error_line(capsys)
     assert not out.exists()
 
 

@@ -258,6 +258,149 @@ def test_model_blob_absolute_path_rejected(tmp_path):
     assert "relative" in msg
 
 
+_HEAD = "ghne-model v1\n"
+_DIMS = "layer a\nfilters 1\nchannels 1\nkernel 2\n"
+
+# every load_model error with its exact text; line None means no line number
+MODEL_ERRORS = {
+    "empty": ("# nothing\n", None, "empty model file, expected 'ghne-model v1' header"),
+    "bad_header": ("ghne-model v2\n", 1, "expected header 'ghne-model v1', got 'ghne-model v2'"),
+    "no_layers": (_HEAD, None, "model declares no layers"),
+    "bare_layer_line": (_HEAD + "layer\n", 2, "expected 'layer <name>', got 'layer'"),
+    "layer_two_names": (_HEAD + "layer a b\n", 2, "expected 'layer <name>', got 'layer a b'"),
+    "field_before_layer": (_HEAD + "filters 1\n", 2, "expected 'layer <name>', got 'filters 1'"),
+    "duplicate_layer": (
+        _HEAD + _DIMS + "weights inline\n0 1\nlayer a\n", 8, "duplicate layer name 'a'"
+    ),
+    "duplicate_field": (
+        _HEAD + "layer a\nfilters 1\nfilters 1\n", 4, "layer 'a': duplicate field 'filters'"
+    ),
+    "duplicate_kernel": (
+        _HEAD + "layer a\nkernel 1\nkernel 2\n", 4, "layer 'a': duplicate field 'kernel'"
+    ),
+    "filters_two_values": (
+        _HEAD + "layer a\nfilters 1 2\n", 3, "layer 'a': filters needs one positive integer"
+    ),
+    "filters_zero": (
+        _HEAD + "layer a\nfilters 0\n", 3, "layer 'a': filters needs one positive integer"
+    ),
+    "channels_bare": (
+        _HEAD + "layer a\nfilters 1\nchannels\n",
+        4,
+        "layer 'a': channels needs one positive integer",
+    ),
+    "kernel_bare": (
+        _HEAD + "layer a\nkernel\n", 3, "layer 'a': kernel needs positive integer extents"
+    ),
+    "kernel_zero": (
+        _HEAD + "layer a\nkernel 3 0\n", 3, "layer 'a': kernel needs positive integer extents"
+    ),
+    "stride_word": (
+        _HEAD + "layer a\nstride two\n", 3, "layer 'a': stride needs positive integer extents"
+    ),
+    "unknown_field": (
+        _HEAD + "layer a\nfilters 1\nbogus 3\n", 4, "layer 'a': unknown field 'bogus'"
+    ),
+    "weights_before_dims": (
+        _HEAD + "layer a\nfilters 1\nweights inline\n0.5\n",
+        4,
+        "layer 'a': weights before channels, kernel",
+    ),
+    "weights_foo": (
+        _HEAD + _DIMS + "weights foo\n",
+        6,
+        "layer 'a': expected 'weights inline' or 'weights blob <path>'",
+    ),
+    "weights_bare": (
+        _HEAD + _DIMS + "weights\n",
+        6,
+        "layer 'a': expected 'weights inline' or 'weights blob <path>'",
+    ),
+    "weights_inline_extra_word": (
+        _HEAD + _DIMS + "weights inline x\n",
+        6,
+        "layer 'a': expected 'weights inline' or 'weights blob <path>'",
+    ),
+    "blob_without_path": (
+        _HEAD + _DIMS + "weights blob\n",
+        6,
+        "layer 'a': expected 'weights inline' or 'weights blob <path>'",
+    ),
+    "bad_weight_value": (
+        _HEAD + _DIMS + "weights inline\n0.5\noops\n", 8, "layer 'a': bad weight value 'oops'"
+    ),
+    "too_few_weights": (
+        _HEAD + _DIMS + "weights inline\n0.5\n",
+        6,
+        "layer 'a': expected 2 weights (filters*channels*kernel), got 1",
+    ),
+    "too_many_weights": (
+        _HEAD + _DIMS + "weights inline\n0.5 0.5 0.5\n",
+        6,
+        "layer 'a': expected 2 weights (filters*channels*kernel), got 3",
+    ),
+    "weights_cut_by_layer": (
+        _HEAD + _DIMS + "weights inline\n0.5\nlayer b\n",
+        6,
+        "layer 'a': expected 2 weights (filters*channels*kernel), got 1",
+    ),
+    "weights_cut_by_weights": (
+        _HEAD + _DIMS + "weights inline\n0.5\nweights inline\n",
+        6,
+        "layer 'a': expected 2 weights (filters*channels*kernel), got 1",
+    ),
+    "field_after_weights": (
+        _HEAD + _DIMS + "weights inline\n0 1\nstride 2\n",
+        8,
+        "expected 'layer <name>', got 'stride 2'",
+    ),
+    "missing_weights_at_eof": (_HEAD + _DIMS, 5, "layer 'a': missing weights"),
+    "missing_weights_bare_layer": (_HEAD + "layer a\n", 2, "layer 'a': missing weights"),
+    # the line reported is the one that ended the block: the next layer header
+    "missing_weights_then_layer": (
+        _HEAD + _DIMS + "\n# gap\nlayer b\n" + _DIMS[8:] + "weights inline\n0 1\n",
+        8,
+        "layer 'a': missing weights",
+    ),
+    "stride_rank": (
+        _HEAD + "layer a\nfilters 1\nchannels 1\nkernel 2 2\nstride 2 2 2\n"
+        "weights inline\n1 0\n0 1\n",
+        7,
+        "layer 'a': stride rank 3 != kernel rank 2",
+    ),
+    "blob_absolute": (
+        _HEAD + _DIMS + "weights blob /abs/w.f64\n",
+        6,
+        "layer 'a': blob path must be relative, got '/abs/w.f64'",
+    ),
+    "blob_wrong_size": (
+        _HEAD + _DIMS + "weights blob short.f64\n",
+        6,
+        "layer 'a': blob 'short.f64' holds 1 float64 values, expected 2",
+    ),
+    "nonfinite_weight": (
+        _HEAD + _DIMS + "weights inline\n0.5 inf\n", None, "layer 'a': non-finite weight"
+    ),
+    "chain_break": (
+        _HEAD + "layer one\nfilters 2\nchannels 1\nkernel 1\nweights inline\n0.5 0.5\n"
+        "layer two\nfilters 1\nchannels 3\nkernel 1\nweights inline\n0.5 0.5 0.5\n",
+        None,
+        "layer chain broken between 'one' and 'two': "
+        "'one' outputs 2 filters but 'two' expects 3 channels",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_ERRORS))
+def test_model_error_table(tmp_path, case):
+    body, line, message = MODEL_ERRORS[case]
+    (tmp_path / "short.f64").write_bytes(b"\x00" * 8)
+    where = tmp_path / "bad.ghnm"
+    if line is not None:
+        where = f"{where}:{line}"
+    assert model_error(tmp_path, body) == f"{where}: {message}"
+
+
 def test_save_model_rejects_unwritable_name(tmp_path):
     model = Model([LayerSpec("has space", np.zeros((1, 1, 1)), 1)])
     with pytest.raises(ValueError, match="has space"):
@@ -495,6 +638,25 @@ def test_pseudo_color_images(tmp_path):
     assert img.m == 3
 
 
+def test_pseudo_color_scaling_lines(tmp_path):
+    g = np.zeros((2, 3, 2, 2))
+    g[0, 0] = [[0.0, 1.0], [0.5, 0.25]]
+    g[0, 1] = 0.25  # constant channel
+    g[0, 2] = [[-1.5, 0.1], [0.2, 0.3]]
+    g[1] = [[[0.0, 0.5], [0.5, 0.5]]]
+    s = np.ones(g.shape, dtype=np.int64)
+    s[1, 2] = 3
+    write_pseudo_color_images(Bank(g, s), tmp_path / "rgb", prefix="feat")
+    assert (tmp_path / "rgb" / "scaling.txt").read_text() == (
+        "feat_f0_rgb.ppm channel=0 lo=0.0 hi=1.0\n"
+        "feat_f0_rgb.ppm channel=1 lo=0.25 hi=0.25 constant=128\n"
+        "feat_f0_rgb.ppm channel=2 lo=-1.5 hi=0.3\n"
+        "feat_f1_rgb.ppm channel=0 lo=0.0 hi=0.5\n"
+        "feat_f1_rgb.ppm channel=1 lo=0.0 hi=0.5\n"
+        "feat_f1_rgb.ppm channel=2 lo=0.0 hi=0.16666666666666666\n"
+    )
+
+
 def test_pseudo_color_requires_three_channels(tmp_path):
     bank = Bank(np.zeros((1, 2, 2, 2)), np.ones((1, 2, 2, 2), dtype=np.int64))
     with pytest.raises(ValueError, match="c=2"):
@@ -542,6 +704,33 @@ def test_features_csv_rank_two(tmp_path):
     # every value cell round-trips to the stored float
     for line, want in zip(lines[1:], g.ravel()):
         assert float(line.rsplit(",", 1)[1]) == want
+
+
+def feature_rows(bank, axis_names):
+    # entry by entry, the way the file is specified
+    values = bank.g / bank.s
+    rows = ["filter,channel," + ",".join(axis_names) + ",value"]
+    for i in range(bank.m):
+        for j in range(bank.c):
+            for idx in np.ndindex(bank.spatial_shape):
+                coords = ",".join(str(k) for k in (i, j) + idx)
+                rows.append(f"{coords},{float(values[(i, j) + idx])!r}")
+    return rows
+
+
+@pytest.mark.parametrize(
+    "shape, axis_names",
+    [((2, 3, 2, 3), ["row", "col"]), ((1, 2, 2, 3, 2), ["axis0", "axis1", "axis2"])],
+)
+def test_features_csv_matches_entrywise_rows(tmp_path, shape, axis_names):
+    rng = np.random.default_rng(4)
+    bank = random_bank(rng, m=shape[0], c=shape[1], shape=shape[2:], max_count=9)
+    g = bank.g.copy()
+    g.flat[-1] = -0.0
+    bank = Bank(g, bank.s)
+    p = tmp_path / "f.csv"
+    write_features_csv(bank, p)
+    assert p.read_text() == "\n".join(feature_rows(bank, axis_names)) + "\n"
 
 
 def test_features_csv_other_rank_names_axes(tmp_path):

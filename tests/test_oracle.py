@@ -5,6 +5,7 @@ import pytest
 
 from ghne import (
     Bank,
+    CountOverflowError,
     LayerSpec,
     Model,
     composite_convolve,
@@ -194,6 +195,18 @@ def test_composite_counts_exact_past_float_precision():
     assert ref.s.max() > 2**53
     assert np.array_equal(ref.s, fast.s)
     assert compare_banks(ref, fast, tol=1e-12).passed
+
+
+def test_reference_composite_counts_past_the_int64_bound():
+    # a count bound of 2**62 * 2 terms reaches 2**63, so the reference sums
+    # counts as Python ints: 2**62 comes back exact, 2**63 is refused by name
+    a = Bank(np.zeros((1, 1, 1)), np.full((1, 1, 1), 2**62))
+    b = Bank(np.zeros((1, 1, 2)), np.ones((1, 1, 2), dtype=np.int64))
+    ref = reference_composite(a, b)
+    assert ref.s.tolist() == [[[2**62, 2**62]]]
+    assert ref == composite_convolve(a, b)
+    with pytest.raises(CountOverflowError, match=str(2**63)):
+        reference_composite(a, Bank(b.g, b.s + 1))
 
 
 def test_reference_composite_rejects_mismatch():

@@ -15,7 +15,7 @@ from ghne.oracle import (
 x = (0.0, 1.0, 0.5)
 a = (0.0, 1.0)
 op = outer_product([x, a])
-print("outer product grid:\n", op.entries)
+print("outer product grid:\n", op)
 
 # hamming convolution groups the grid by anti-diagonals (index sums)
 # and adds each group; position n sums |S(n)| entries

@@ -307,8 +307,6 @@ def apply(input_bank: Bank, deep, crop: str = "full") -> Bank:
     input's spatial shape and "valid" keeps only fully overlapped
     entries.
     """
-    if crop not in _CROP_MODES:
-        raise ValueError(f"unknown crop mode {crop!r}, expected one of {_CROP_MODES}")
     deep_bank = deep.bank if isinstance(deep, DeepEpitome) else deep
     if not input_bank.is_normalized:
         raise ValueError("input bank must be normalized (every count 1)")
@@ -318,11 +316,8 @@ def apply(input_bank: Bank, deep, crop: str = "full") -> Bank:
             f"the deep epitome expects c={deep_bank.c} channels"
         )
     out = composite_convolve(input_bank, deep_bank)
-    if crop == "full":
-        return out
-    if crop == "same":
-        target = input_bank.spatial_shape
-    else:
+    target = input_bank.spatial_shape
+    if crop == "valid":
         target = tuple(
             n - d + 1 for n, d in zip(input_bank.spatial_shape, deep_bank.spatial_shape)
         )

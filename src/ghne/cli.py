@@ -17,6 +17,8 @@ import numpy as np
 
 from . import model_io, oracle
 from .banks import (
+    _CROP_MODES,
+    _STRIDE_FILLS,
     Bank,
     LayerSpec,
     Model,
@@ -26,7 +28,7 @@ from .banks import (
     composite_convolve,
     layer_to_bank,
 )
-from .ghd import fuzziness
+from .epitome import mean_fuzziness
 
 _EXIT_OK = 0
 _EXIT_VERIFY = 1
@@ -245,7 +247,7 @@ def cmd_demo(args) -> int:
     series = []
     for depth in range(1, len(model.layers) + 1):
         partial = collapse(model, depth)
-        series.append((str(depth), float(np.mean(fuzziness(partial.bank.values())))))
+        series.append((str(depth), mean_fuzziness(partial.bank)))
     model_io.write_series_csv(
         series, os.path.join(out, "fuzziness.csv"), header=("layers_collapsed", "fuzziness")
     )
@@ -278,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output GHNE epitome file")
     p.add_argument(
         "--stride-fill",
-        choices=("replicate", "fuzzy"),
+        choices=_STRIDE_FILLS,
         default="replicate",
         help="strided-kernel resize fill: repeat weights, or pad with absorbing 0.5",
     )
@@ -287,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("apply", help="extract features from an image in one step")
     p.add_argument("--epitome", required=True, help="GHNE epitome file")
     p.add_argument("--input", required=True, help="input image (binary PGM/PPM, maxval 255)")
-    p.add_argument("--crop", choices=("full", "same", "valid"), default="full")
+    p.add_argument("--crop", choices=_CROP_MODES, default="full")
     p.add_argument(
         "--negate", action="store_true", help="emit -g/s (negative mean GHD reads as similarity)"
     )

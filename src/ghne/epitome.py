@@ -71,8 +71,6 @@ class _PairGrid:
         if not (np.issubdtype(s.dtype, np.integer) or np.issubdtype(s.dtype, np.bool_)):
             # reject silent float counts; exact integer arithmetic is load-bearing
             raise TypeError(f"counts must be integers, got dtype {s.dtype}")
-        # one copy, which the frozen arrays below depend on
-        s = np.array(s, dtype=np.int64)
         if g.ndim < self._MIN_RANK:
             raise ValueError(self._RANK_ERROR.format(g.ndim))
         if g.shape != s.shape:
@@ -81,6 +79,8 @@ class _PairGrid:
             raise ValueError(f"{self._NAME} must have at least one entry per axis")
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite g value in {self._NAME}")
+        # one copy, which the frozen arrays below depend on
+        s = _int64_counts(s)
         if np.any(s < 1):
             raise ValueError("every summand count must be >= 1")
         g.setflags(write=False)
@@ -228,11 +228,11 @@ def bank_convolve(ga, sa, gb, sb):
 
 
 def _int64_counts(s):
-    """Exactly summed counts (float64, int64 or Python ints) as int64.
+    """Exact counts (float64, signed, unsigned or Python ints) as a new int64 array.
 
     A count past the int64 maximum raises CountOverflowError.
     """
-    if s.dtype == object and s.max() > _INT64_MAX:
+    if s.dtype.kind in "uO" and s.max() > _INT64_MAX:
         raise CountOverflowError(
             f"summand count {s.max()} exceeds the int64 maximum {_INT64_MAX}"
         )
@@ -258,15 +258,16 @@ def add(a: Epitome, b: Epitome) -> Epitome:
     """Entrywise summation of two same-shaped epitomes: (ga+gb, sa+sb).
 
     Folding extends it to any number of epitomes; this is how channels
-    are merged.
+    are merged.  Counts are summed as uint64, which cannot wrap, so a sum
+    past the int64 maximum raises CountOverflowError.
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return Epitome(a.g + b.g, a.s + b.s)
+    return Epitome(a.g + b.g, a.s.astype(np.uint64) + b.s.astype(np.uint64))
 
 
-def mean_fuzziness(e: Epitome) -> float:
-    """Arithmetic mean over entries of fuzziness(g/s)."""
+def mean_fuzziness(e) -> float:
+    """Arithmetic mean over entries of fuzziness(g/s), of an Epitome or a Bank."""
     return float(np.mean(_scalar_fuzziness(e.values())))
 
 

@@ -179,7 +179,7 @@ def load_model(path) -> Model:
                 fail(lineno, f"layer {name!r}: duplicate field {key!r}")
             syntax = _FIELD_SYNTAX[key]
             bad_arity = len(args) != 1 if syntax == _ONE_INT else not args
-            if bad_arity or not all(w.isdigit() and int(w) >= 1 for w in args):
+            if bad_arity or not all(w.isdecimal() and int(w) >= 1 for w in args):
                 fail(lineno, f"layer {name!r}: {key} needs {syntax}")
             fields[key] = tuple(int(w) for w in args)
             pos += 1
@@ -338,11 +338,8 @@ def load_epitome(path) -> Bank:
         if f.read(1):
             raise EpitomeFormatError("trailing data after the declared entries")
     arr = np.frombuffer(data, dtype=_PAIR_DTYPE).reshape((m, c) + extents)
-    # the int64 cast below would wrap these silently
-    if np.any(arr["s"] > np.iinfo(np.int64).max):
-        raise EpitomeFormatError("summand count exceeds the supported range")
     try:
-        return Bank(arr["g"], arr["s"].astype(np.int64))
+        return Bank(arr["g"], arr["s"])
     except ValueError as e:
         raise EpitomeFormatError(str(e)) from e
 

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .banks import Bank, LayerSpec, Model, apply, collapse, layer_to_bank
-from .epitome import Epitome, _int64_counts, convolve, make_normalized
+from .epitome import Epitome, _int64_counts, convolve, make_normalized, merged_pair
 from .ghd import ghd
 
 __all__ = [
-    "OuterProduct",
     "EquivalenceReport",
     "NonAssocReport",
     "outer_product",
@@ -39,7 +38,6 @@ __all__ = [
     "check_equivalence",
     "find_nonassoc_witness",
     "random_epitome",
-    "random_normalized_epitome",
     "random_bank",
     "random_input",
     "random_model",
@@ -48,18 +46,6 @@ __all__ = [
     "suite_collapse_equivalence",
     "suite_raw_nonassociativity",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class OuterProduct:
-    """Dense grid of iterated GHDs, one axis per input factor.
-
-    Entry (k, l, ..., m) is ghd_fold of the k-th element of the first
-    factor, the l-th of the second, and so on.
-    """
-
-    factor_lengths: tuple[int, ...]
-    entries: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -99,8 +85,12 @@ class NonAssocReport:
     passed: bool
 
 
-def outer_product(factors) -> OuterProduct:
-    """Full grid of iterated GHDs over two or more non-empty tuples."""
+def outer_product(factors) -> np.ndarray:
+    """Dense grid of iterated GHDs over two or more non-empty tuples.
+
+    One axis per factor: entry (k, l, ..., m) is ghd_fold of the k-th
+    element of the first factor, the l-th of the second, and so on.
+    """
     arrays = [np.asarray(f, dtype=np.float64) for f in factors]
     if len(arrays) < 2:
         raise ValueError(f"outer product needs at least 2 factors, got {len(arrays)}")
@@ -111,7 +101,7 @@ def outer_product(factors) -> OuterProduct:
     acc = grids[0]
     for grid in grids[1:]:
         acc = ghd(acc, grid)
-    return OuterProduct(tuple(a.size for a in arrays), acc)
+    return acc
 
 
 def raw_convolve(factors) -> np.ndarray:
@@ -129,12 +119,12 @@ def raw_convolve(factors) -> np.ndarray:
 def raw_convolve_with_counts(factors):
     """raw_convolve plus the group sizes |S(n)| it summed over."""
     op = outer_product(factors)
-    out_len = sum(op.factor_lengths) - (len(op.factor_lengths) - 1)
+    out_len = sum(op.shape) - (op.ndim - 1)
     sums = np.zeros(out_len)
     counts = np.zeros(out_len, dtype=np.int64)
-    for idx in np.ndindex(op.entries.shape):
+    for idx in np.ndindex(op.shape):
         n = sum(idx)
-        sums[n] += op.entries[idx]
+        sums[n] += op[idx]
         counts[n] += 1
     return sums, counts
 
@@ -279,10 +269,6 @@ def random_epitome(rng, max_extent=8, max_count=5, g_range=(-2.0, 2.0), rank=1) 
     return Epitome(g, s)
 
 
-def random_normalized_epitome(rng, shape, value_range=(0.0, 1.0)) -> Epitome:
-    return make_normalized(rng.uniform(value_range[0], value_range[1], size=tuple(shape)))
-
-
 def random_bank(rng, m, c, shape, max_count=5, g_range=(-2.0, 2.0)) -> Bank:
     full = (m, c) + tuple(shape)
     g = rng.uniform(g_range[0], g_range[1], size=full)
@@ -332,8 +318,7 @@ def suite_pairwise_sum_identity(rng, trials: int = 100, tol: float = 1e-12) -> E
         x = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 9)))
         y = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 9)))
         brute = float(ghd(x[:, np.newaxis], y[np.newaxis, :]).sum())
-        sx, sy = float(x.sum()), float(y.sum())
-        closed = ghd(sx, sy) + (y.size - 1) * sx + (x.size - 1) * sy
+        closed = merged_pair(float(x.sum()), x.size, float(y.sum()), y.size)[0]
         err = abs(brute - closed)
         max_abs = max(max_abs, err)
         max_rel = max(max_rel, err / max(1.0, abs(brute)))

@@ -510,6 +510,26 @@ def test_crop_validation():
         crop_bank(b, (2,), "center")
 
 
+def test_apply_and_crop_bank_reject_unknown_mode_alike():
+    rng = np.random.default_rng(16)
+    deep = collapse(small_model())
+    x = random_input(rng, channels=1, shape=(9, 9))
+    full = composite_convolve(x, deep.bank)
+    message = "unknown crop mode 'bogus', expected one of ('full', 'same', 'valid')"
+    with pytest.raises(ValueError) as via_apply:
+        apply(x, deep, "bogus")
+    with pytest.raises(ValueError) as via_crop:
+        crop_bank(full, (9, 9), "bogus")
+    assert str(via_apply.value) == str(via_crop.value) == message
+
+
+def test_apply_full_is_the_composite_convolution():
+    rng = np.random.default_rng(17)
+    deep = collapse(small_model())
+    x = random_input(rng, channels=1, shape=(9, 9))
+    assert apply(x, deep, "full") == composite_convolve(x, deep.bank)
+
+
 # --- bank stats -------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ghne import (
+    Bank,
     CountOverflowError,
     Epitome,
     add,
@@ -271,6 +272,21 @@ def test_add_commutes_and_folds():
 def test_add_shape_mismatch():
     with pytest.raises(ValueError):
         add(make_normalized([0.1]), make_normalized([0.1, 0.2]))
+
+
+@pytest.mark.parametrize(
+    "count, build",
+    [
+        (2**63, lambda: add(Epitome([0.0], [2**62]), Epitome([0.0], [2**62]))),
+        (2**63, lambda: Bank(np.zeros((1, 1, 1)), [[[2**63]]])),
+        (2**64 - 1, lambda: Bank(np.zeros((1, 1, 1)), np.full((1, 1, 1), 2**64 - 1, np.uint64))),
+    ],
+    ids=["add", "bank_from_list", "bank_from_uint64"],
+)
+def test_counts_past_int64_raise_not_wrap(count, build):
+    # an int64 cast would wrap these negative ("every summand count must be >= 1")
+    with pytest.raises(CountOverflowError, match=str(count)):
+        build()
 
 
 # --- fuzziness and histograms ----------------------------------------------

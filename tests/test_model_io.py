@@ -284,6 +284,10 @@ MODEL_ERRORS = {
     "filters_zero": (
         _HEAD + "layer a\nfilters 0\n", 3, "layer 'a': filters needs one positive integer"
     ),
+    # '²' is a digit to str.isdigit but not a decimal that int() reads
+    "filters_superscript": (
+        _HEAD + "layer a\nfilters \u00b2\n", 3, "layer 'a': filters needs one positive integer"
+    ),
     "channels_bare": (
         _HEAD + "layer a\nfilters 1\nchannels\n",
         4,
@@ -294,6 +298,11 @@ MODEL_ERRORS = {
     ),
     "kernel_zero": (
         _HEAD + "layer a\nkernel 3 0\n", 3, "layer 'a': kernel needs positive integer extents"
+    ),
+    "kernel_superscript": (
+        _HEAD + "layer a\nkernel 3 \u00b2\n",
+        3,
+        "layer 'a': kernel needs positive integer extents",
     ),
     "stride_word": (
         _HEAD + "layer a\nstride two\n", 3, "layer 'a': stride needs positive integer extents"
@@ -521,7 +530,7 @@ def test_load_rejects_zero_count_entry(tmp_path):
 def test_load_rejects_oversized_count(tmp_path):
     p = tmp_path / "x.ghne"
     p.write_bytes(ghne_bytes(entries=((0.5, 1), (0.25, 2**63))))
-    with pytest.raises(EpitomeFormatError):
+    with pytest.raises(EpitomeFormatError, match=f"{2**63} exceeds the int64 maximum"):
         load_epitome(p)
 
 

@@ -15,8 +15,9 @@ bank without touching any input.
 
 Under t = s - 2g the merge is a plain product, t_out = t * t', just as
 t(x) = 1 - 2x turns the scalar GHD into multiplication.  bank_convolve
-uses that to evaluate a whole bank contraction as two multiply-add
-convolutions, one for t and one for the counts.
+uses that to evaluate a whole bank contraction as two plain
+convolutions, one for t and one for the counts, each a windowed matrix
+product (im2col), batched over output rows, that runs in BLAS.
 
 Counts are stored as int64, never floats, so they stay exact (a count
 that would not fit raises CountOverflowError); g values are float64.
@@ -35,6 +36,13 @@ from .ghd import fuzziness as _scalar_fuzziness
 from .ghd import ghd
 
 _INT64_MAX = 2**63 - 1
+# Cap on the entries one im2col chunk of bank_convolve gathers (4 MiB of
+# float64).  Smaller caps split large products into skinny, slow GEMMs;
+# larger ones raise peak memory.
+_IM2COL_ENTRIES = 2**19
+# OpenBLAS runs a matrix product of at most this many multiply-adds on
+# the calling thread, and splits a larger one across its threads.
+_ONE_THREAD_WORK = 2**18
 
 __all__ = [
     "CountOverflowError",
@@ -187,42 +195,102 @@ def bank_convolve(ga, sa, gb, sb):
         s_out = sum_k conv(s_a[k, j], s_b[i, k])    (exact)
         g_out = (s_out - T_out) / 2
 
-    The loop runs over the offsets of the smaller spatial grid; each
-    offset is one tensordot over k added into its output window, in a
-    fixed order, so results are deterministic.  Counts are contracted in
-    float64 when no partial sum can reach 2**53 (every one is then an
-    exactly represented integer, in any summation order), else in int64
-    when none can reach 2**63, else in Python ints; the result is the
-    same int64 array every way.  A count past the int64 maximum raises
-    CountOverflowError, which the CLI reports with exit code 2.
+    Each contraction is one windowed matrix product (im2col): a is
+    zero-padded by B_i - 1 on both ends of each axis, the |B| padded
+    entries under every output position are gathered next to it, and
+    a matmul against the spatially flipped b, an m x (k * |B|) matrix,
+    turns the whole convolution into BLAS products.  The gathered copy
+    holds k * c * |B| entries per output position, so a is windowed when
+    c * |B| <= m * |A|, and otherwise the roles swap (convolution
+    commutes).  The output is produced in chunks of whole rows of its
+    first spatial axis, each gathering at most _IM2COL_ENTRIES entries
+    (or one row, if a row alone holds more), which bounds the memory of
+    a large apply.
+
+    The matmul is batched: while a row's product is small, every output
+    row is its own (k * |B|) x (c * |rest|) matrix product of at most
+    _ONE_THREAD_WORK multiply-adds, which OpenBLAS runs on the calling
+    thread.  The benchmark's fold and apply products (1e5 to 2e5
+    multiply-adds) are of this kind.  As one threaded product per chunk,
+    the second BLAS thread spun a whole CPU between calls: on 2 CPUs,
+    collapse of a 1-16-32-32 stack ran about 20% slower, and its rate
+    spread 4 times wider from run to run.  A larger row, as in collapse
+    of a 1-32-64 stack of 5x5 kernels, gets one product per chunk, which
+    the threads speed up.  A call repeats bit for bit.  Per-row products
+    do not depend on the chunk size; a chunk-wide product may round g
+    differently in the last bits for a different chunk size, never the
+    counts.
+
+    Counts are contracted in float64 when no partial sum can reach 2**53
+    (every one is then an exactly represented integer, in any summation
+    order), else in int64 when none can reach 2**63, else in Python
+    ints; the result is the same int64 array every way.  A count past
+    the int64 maximum raises CountOverflowError, which the CLI reports
+    with exit code 2.
 
     g = (s - T) / 2 has an absolute error of about eps * s, so g keeps
     its relative precision only while |g| / s is not much below 1:
     counts near 2**30 with g/s near 5e-10 were measured 7.7e-8 off the
     additive reference.  Data in [0, 1] stays far inside the 1e-9 gate.
     """
-    grid_a, grid_b = ga.shape[2:], gb.shape[2:]
-    if math.prod(grid_a) < math.prod(grid_b):
-        # convolution commutes: swap the roles so the loop runs over a's offsets
+    (k, c), grid_a = ga.shape[:2], ga.shape[2:]
+    m, grid_b = gb.shape[0], gb.shape[2:]
+    if c * math.prod(grid_b) > m * math.prod(grid_a):
+        # window b with a's grid instead, the smaller gathered copy
         g, s = bank_convolve(*(x.swapaxes(0, 1) for x in (gb, sb, ga, sa)))
         return g.swapaxes(0, 1), s.swapaxes(0, 1)
-    out_shape = (gb.shape[0], ga.shape[1]) + tuple(x + y - 1 for x, y in zip(grid_a, grid_b))
-    # an output entry sums at most k * |B| terms, each at most max(s_a) * max(s_b)
-    terms = ga.shape[0] * math.prod(grid_b)
+    rank = len(grid_a)
+    out_grid = tuple(x + y - 1 for x, y in zip(grid_a, grid_b))
+    # an output entry sums at most k * prod(min(A_i, B_i)) terms, each at
+    # most max(s_a) * max(s_b)
+    terms = k * math.prod(min(x, y) for x, y in zip(grid_a, grid_b))
     bound = int(sa.max()) * int(sb.max()) * terms
     count_type = np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
-    t = np.zeros(out_shape)
-    s = np.zeros(out_shape, dtype=count_type)
-    ta = sa - 2.0 * ga
-    tb = sb - 2.0 * gb
-    sa = sa.astype(count_type)
-    sb = sb.astype(count_type)
-    # (m, k) . (k, c, *A) -> (m, c, *A), added at offset p
-    for p in np.ndindex(grid_b):
-        window = (slice(None), slice(None)) + tuple(slice(o, o + n) for o, n in zip(p, grid_a))
-        at = (slice(None), slice(None)) + p
-        t[window] += np.tensordot(tb[at], ta, axes=(1, 0))
-        s[window] += np.tensordot(sb[at], sa, axes=(1, 0))
+    # pad a by slice assignment into zeroed buffers; np.pad made collapse of
+    # a 1-16-32-32 stack about 20% slower
+    padded = (k, c) + tuple(x + 2 * (y - 1) for x, y in zip(grid_a, grid_b))
+    inner = (slice(None), slice(None)) + tuple(
+        slice(y - 1, y - 1 + x) for x, y in zip(grid_a, grid_b)
+    )
+    ta = np.zeros(padded)
+    ta[inner] = sa - 2.0 * ga
+    pa = np.zeros(padded, dtype=count_type)
+    pa[inner] = sa
+    flip = (slice(None), slice(None)) + (slice(None, None, -1),) * rank
+    # b as a contiguous m x (k * |B|) matrix: matmul would run a strided
+    # (flipped) operand in numpy's own loop instead of BLAS
+    tb = np.ascontiguousarray((sb - 2.0 * gb)[flip]).reshape(m, -1)
+    pb = np.ascontiguousarray(sb.astype(count_type)[flip]).reshape(m, -1)
+    spatial = tuple(range(2, 2 + rank))
+    rest = out_grid[1:]
+    depth, row_width = k * math.prod(grid_b), c * math.prod(rest)
+    step = max(1, _IM2COL_ENTRIES // (depth * row_width))
+    # rows per matrix product: one while a row's product stays on the
+    # calling thread, else the whole chunk
+    per_product = 1 if m * depth * row_width <= _ONE_THREAD_WORK else step
+    # window axes (k, c, products, rows per product, *rest, *B) as
+    # (products, k, *B, c, rows per product, *rest)
+    order = (2, 0, *range(3 + rank, 3 + 2 * rank), 1, 3, *range(4, 3 + rank))
+
+    def products(other, windows):
+        # (m, c, rows, *rest); all else is freed on return.  Keeping a
+        # product alive while the next copy was gathered raised the peak
+        # memory of a 64x64 apply by 3 MiB.
+        n = windows.shape[2]
+        per = min(per_product, n)
+        split = windows.reshape((k, c, n // per, per) + windows.shape[3:])
+        gathered = split.transpose(order).reshape(n // per, depth, -1)
+        product = np.matmul(other, gathered).reshape((n // per, m, c, per) + rest)
+        return np.moveaxis(product, 0, 2).reshape((m, c, n) + rest)
+
+    t = np.empty((m, c) + out_grid)
+    s = np.empty((m, c) + out_grid, dtype=count_type)
+    windows_t = np.lib.stride_tricks.sliding_window_view(ta, grid_b, axis=spatial)
+    windows_s = np.lib.stride_tricks.sliding_window_view(pa, grid_b, axis=spatial)
+    for r in range(0, out_grid[0], step):
+        rows = (slice(None), slice(None), slice(r, r + step))
+        t[rows] = products(tb, windows_t[rows])
+        s[rows] = products(pb, windows_s[rows])
     s = _int64_counts(s)
     return 0.5 * (s - t), s
 

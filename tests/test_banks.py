@@ -18,10 +18,18 @@ from ghne import (
     convolve,
     crop_bank,
     effective_shape,
+    epitome,
     layer_to_bank,
     resize_strided,
 )
-from ghne.oracle import compare_banks, layered_forward, random_bank, random_input, random_model
+from ghne.oracle import (
+    compare_banks,
+    layered_forward,
+    random_bank,
+    random_input,
+    random_model,
+    reference_composite,
+)
 
 
 def small_model(rng=None):
@@ -282,6 +290,90 @@ def test_composite_is_associative_on_banks():
         report = compare_banks(left, right, tol=1e-9)
         assert report.count_mismatches == 0
         assert report.passed, report
+
+
+@pytest.fixture
+def windowed(monkeypatch):
+    """Record (dtype, product count) of the windowed operand of every np.matmul call."""
+    seen = []
+    matmul = np.matmul
+
+    def spy(x, y):
+        seen.append((y.dtype, y.shape[0]))
+        return matmul(x, y)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return seen
+
+
+@pytest.mark.parametrize("count_type", ["float64", "int64", "object"])
+def test_composite_row_chunks_are_bit_equal_to_one_chunk(monkeypatch, windowed, count_type):
+    # a (2, 2, 4x3) is windowed with b's 5x2 grid; its 8 output rows gather
+    # 160 entries each, so a 500-entry cap gives chunks of 3, 3 and 2 rows
+    # and a 1-entry cap one chunk per row
+    rng = np.random.default_rng(16)
+    shape_a, shape_b = (2, 2, 4, 3), (3, 2, 5, 2)
+    if count_type == "float64":
+        sa, sb = rng.integers(1, 4, shape_a), rng.integers(1, 4, shape_b)
+    elif count_type == "int64":
+        # bound 2**52 * 16 terms
+        sa, sb = np.full(shape_a, 2**26), np.full(shape_b, 2**26)
+    else:
+        # bound 2**62 * 16 terms; the largest true count is 2**62 + 1
+        sa, sb = np.ones(shape_a, np.int64), np.ones(shape_b, np.int64)
+        sa[0, :, 0, 0] = sb[:, 0, 0, 0] = 2**31
+    # g = s * j / 8 keeps every T product and partial sum exact in float64,
+    # so no summation order can change a bit; the 2**31 counts get T = 0
+    a, b = (Bank(s * np.where(s > 2**26, 4, rng.integers(0, 9, s.shape)) / 8, s) for s in (sa, sb))
+    one_chunk = composite_convolve(a, b)
+    # per-row products, then one product per chunk
+    for one_thread_work in (epitome._ONE_THREAD_WORK, 0):
+        monkeypatch.setattr(epitome, "_ONE_THREAD_WORK", one_thread_work)
+        for cap in (2**19, 500, 1):
+            monkeypatch.setattr(epitome, "_IM2COL_ENTRIES", cap)
+            windowed.clear()
+            assert composite_convolve(a, b) == one_chunk
+            # one T and one count contraction per chunk, of one product per
+            # row or per chunk
+            assert np.dtype(count_type) in {dtype for dtype, _ in windowed}
+            assert len(windowed) == (2 if cap == 2**19 else 6 if cap == 500 else 16)
+            products = sum(n for _, n in windowed) // 2
+            assert products == (8 if one_thread_work else len(windowed) // 2)
+    ref = reference_composite(a, b)
+    assert np.array_equal(ref.s, one_chunk.s)
+    assert compare_banks(ref, one_chunk, tol=1e-12).passed
+
+
+def test_composite_row_chunks_do_not_change_general_float_data(monkeypatch):
+    # while a row's product is small, every output row is its own matrix
+    # product, whatever the chunk size, so g comes back bit-equal even
+    # where T products round
+    rng = np.random.default_rng(18)
+    for shape_a, shape_b in (((3, 2, 7), (4, 3, 5)), ((2, 3, 6, 5), (4, 2, 3, 4)),
+                             ((2, 1, 4, 3, 3), (3, 2, 2, 3, 2))):
+        sa, sb = rng.integers(1, 5, shape_a), rng.integers(1, 5, shape_b)
+        a, b = (Bank(s * rng.uniform(-1, 1, s.shape), s) for s in (sa, sb))
+        one_chunk = composite_convolve(a, b)
+        for cap in (200, 1):
+            monkeypatch.setattr(epitome, "_IM2COL_ENTRIES", cap)
+            assert composite_convolve(a, b) == one_chunk
+        monkeypatch.undo()
+
+
+def test_composite_count_bound_is_the_true_overlap(windowed):
+    # a's 3x3 grid is windowed with b's 6x6 grid, but an output entry sums
+    # at most k * 3 * 3 = 18 terms, not k * 36: counts 2**24 x 2**24 are
+    # still contracted in float64, and come back exact
+    rng = np.random.default_rng(17)
+    sa, sb = np.full((2, 1, 3, 3), 2**24), np.full((4, 2, 6, 6), 2**24)
+    a = Bank(sa * rng.uniform(0, 1, sa.shape), sa)
+    b = Bank(sb * rng.uniform(0, 1, sb.shape), sb)
+    fast = composite_convolve(a, b)
+    assert {dtype for dtype, _ in windowed} == {np.dtype(np.float64)}
+    ref = reference_composite(a, b)
+    assert ref.s.max() == 2**48 * 18
+    assert np.array_equal(ref.s, fast.s)
+    assert compare_banks(ref, fast, tol=1e-12).passed
 
 
 # --- effective shape and collapse -------------------------------------------

@@ -168,16 +168,24 @@ def test_reference_composite_matches_raw_grouping():
 
 
 def test_reference_composite_matches_fast_kernel_both_ways():
-    # the kernel loops over whichever grid is smaller; check both branches
+    # the kernel windows a with b's grid when c_a * |B| <= m_b * |A| (here
+    # |B| <= 2 |A|) and swaps the roles otherwise; every rank has a case
+    # on either side
     rng = np.random.default_rng(13)
-    for shape_a, shape_b in (((5, 4), (2, 3)), ((2, 2), (4, 5)), ((3, 3), (3, 3))):
-        a = random_bank(rng, m=3, c=2, shape=shape_a)
-        b = random_bank(rng, m=4, c=3, shape=shape_b)
-        ref = reference_composite(a, b)
-        fast = composite_convolve(a, b)
-        assert np.array_equal(ref.s, fast.s)
-        report = compare_banks(ref, fast, tol=1e-12)
-        assert report.passed, report
+    cases = {
+        "window a": [((7,), (3,)), ((5, 4), (2, 3)), ((3, 3), (3, 3)), ((3, 2, 4), (2, 2, 1))],
+        "window b": [((2,), (9,)), ((2, 2), (4, 5)), ((1, 2, 2), (3, 4, 2))],
+    }
+    for role, shapes in cases.items():
+        for shape_a, shape_b in shapes:
+            a = random_bank(rng, m=3, c=2, shape=shape_a)
+            b = random_bank(rng, m=4, c=3, shape=shape_b)
+            assert (a.c * np.prod(shape_b) <= b.m * np.prod(shape_a)) == (role == "window a")
+            ref = reference_composite(a, b)
+            fast = composite_convolve(a, b)
+            assert np.array_equal(ref.s, fast.s), (shape_a, shape_b)
+            report = compare_banks(ref, fast, tol=1e-12)
+            assert report.passed, (shape_a, shape_b, report)
 
 
 def test_composite_counts_exact_past_float_precision():

@@ -127,8 +127,7 @@ def _verify_lines(args):
 
 def cmd_verify(args) -> int:
     if args.tol < 0:
-        print("error: --tol must be >= 0", file=sys.stderr)
-        return _EXIT_USAGE
+        raise ValueError("--tol must be >= 0")
     lines, ok = _verify_lines(args)
     for line in lines:
         print(line)
@@ -159,8 +158,7 @@ def cmd_render(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.reps < 1:
-        print("error: --reps must be >= 1", file=sys.stderr)
-        return _EXIT_USAGE
+        raise ValueError("--reps must be >= 1")
     model = model_io.load_model(args.model)
     rank = model.layers[0].rank
     rng = np.random.default_rng(0)

@@ -28,6 +28,7 @@ import itertools
 import math
 import os
 import re
+import stat
 import struct
 import tempfile
 
@@ -112,6 +113,19 @@ def _atomic_write(path, data: bytes):
         raise
 
 
+def _read_declared(f, n: int, error, message: str) -> bytes:
+    """Read the n bytes a header declares, else raise error(message.format(n=n, got=...)).
+
+    A regular file is never asked for more bytes than it still holds, so a
+    header that declares more data than the file has cannot force the allocation.
+    """
+    st = os.fstat(f.fileno())
+    data = f.read(min(n, max(st.st_size - f.tell(), 0)) if stat.S_ISREG(st.st_mode) else n)
+    if len(data) < n:
+        raise error(message.format(n=n, got=len(data)))
+    return data
+
+
 def _fmt(x) -> str:
     # repr of a Python float is the shortest decimal that round-trips
     return repr(float(x))
@@ -127,8 +141,15 @@ def write_text(path, text: str):
 
 
 def _model_lines(path):
-    with open(path, "r", encoding="utf-8") as f:
-        raw = f.read().splitlines()
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        raw = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        # the line of the first bad byte, counted the way splitlines counts
+        lineno = len((data[: e.start].decode("utf-8") + "x").splitlines())
+        message = f"not UTF-8 text: {e.reason} at byte {e.start}"
+        raise ModelFormatError(f"{path}:{lineno}: {message}") from e
     lines = []
     for lineno, line in enumerate(raw, 1):
         body = line.split("#", 1)[0].strip()
@@ -305,15 +326,15 @@ def load_epitome(path) -> Bank:
     """Read a GHNE file back into a Bank, verifying every declared count.
 
     The magic is checked before anything is sized or allocated; bad
-    magic, unknown version, and truncation raise distinct errors.
+    magic, unknown version, and truncation raise distinct errors.  No
+    declared size is read past the end of a regular file, so a header
+    that declares more data than the file holds raises TruncatedError.
     """
     with open(path, "rb") as f:
         magic = f.read(4)
         if len(magic) < 4 or magic != _MAGIC:
             raise BadMagicError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        head = f.read(16)
-        if len(head) < 16:
-            raise TruncatedError("file ends inside the fixed header")
+        head = _read_declared(f, 16, TruncatedError, "file ends inside the fixed header")
         version, m, c, rank = struct.unpack("<IIII", head)
         if version != _VERSION:
             raise VersionError(f"unsupported format version {version}, expected {_VERSION}")
@@ -321,20 +342,12 @@ def load_epitome(path) -> Bank:
             raise EpitomeFormatError(f"bad dimensions m={m} c={c} rank={rank}")
         if rank > 16:
             raise EpitomeFormatError(f"implausible rank {rank}")
-        ext_bytes = f.read(4 * rank)
-        if len(ext_bytes) < 4 * rank:
-            raise TruncatedError("file ends inside the extent list")
+        ext_bytes = _read_declared(f, 4 * rank, TruncatedError, "file ends inside the extent list")
         extents = struct.unpack(f"<{rank}I", ext_bytes)
         if any(e < 1 for e in extents):
             raise EpitomeFormatError(f"zero extent in {extents}")
-        n_entries = m * c * math.prod(extents)
-        if n_entries > 1 << 31:
-            raise EpitomeFormatError(f"implausible entry count {n_entries}")
-        data = f.read(n_entries * _PAIR_DTYPE.itemsize)
-        if len(data) < n_entries * _PAIR_DTYPE.itemsize:
-            raise TruncatedError(
-                f"expected {n_entries * _PAIR_DTYPE.itemsize} entry bytes, got {len(data)}"
-            )
+        n_bytes = m * c * math.prod(extents) * _PAIR_DTYPE.itemsize
+        data = _read_declared(f, n_bytes, TruncatedError, "expected {n} entry bytes, got {got}")
         if f.read(1):
             raise EpitomeFormatError("trailing data after the declared entries")
     arr = np.frombuffer(data, dtype=_PAIR_DTYPE).reshape((m, c) + extents)
@@ -389,16 +402,14 @@ def read_image(path) -> Bank:
             )
         width = _int_token(f, "width")
         height = _int_token(f, "height")
+        if width < 1 or height < 1:
+            raise ImageFormatError(f"image has no pixels: width {width}, height {height}")
         maxval = _int_token(f, "maxval")
         if maxval != 255:
             raise ImageFormatError(f"unsupported maxval {maxval}, only 255")
         planes = 1 if magic == b"P5" else 3
-        expected = width * height * planes
-        raster = f.read(expected)
-        if len(raster) < expected:
-            raise ImageFormatError(
-                f"truncated raster: expected {expected} bytes, got {len(raster)}"
-            )
+        truncated = "truncated raster: expected {n} bytes, got {got}"
+        raster = _read_declared(f, width * height * planes, ImageFormatError, truncated)
     data = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, planes)
     g = (data.transpose(2, 0, 1) / 255.0).reshape(planes, 1, height, width)
     return Bank(g, np.ones(g.shape, dtype=np.int64))

@@ -197,6 +197,20 @@ def test_layer_errors_name_the_layer():
         LayerSpec("conv9", np.zeros((1, 1, 3)), 0)
 
 
+@pytest.mark.parametrize(
+    "name, weights, message",
+    [
+        ("", np.zeros((1, 1, 3)), "layer needs a non-empty name"),
+        ("a", np.zeros((0, 1, 3)), "layer 'a': empty weight grid"),
+        ("a", np.zeros((1, 1, 0, 2)), "layer 'a': empty weight grid"),
+    ],
+)
+def test_layer_rejects_empty_name_or_grid(name, weights, message):
+    with pytest.raises(ValueError) as exc:
+        LayerSpec(name, weights, 1)
+    assert str(exc.value) == message
+
+
 def test_model_chain_error_names_both_layers():
     a = LayerSpec("first", np.zeros((2, 1, 3)), 1)
     b = LayerSpec("second", np.zeros((1, 3, 3)), 1)
@@ -226,6 +240,14 @@ def test_composite_mismatch_names_both_dims():
     with pytest.raises(ValueError) as exc:
         composite_convolve(a, b)
     assert "m=2" in str(exc.value) and "c=3" in str(exc.value)
+
+
+def test_composite_rank_mismatch():
+    a = Bank(np.zeros((1, 1, 3)), np.ones((1, 1, 3), dtype=np.int64))
+    b = Bank(np.zeros((1, 1, 3, 3)), np.ones((1, 1, 3, 3), dtype=np.int64))
+    with pytest.raises(ValueError) as exc:
+        composite_convolve(a, b)
+    assert str(exc.value) == "spatial rank mismatch: 1 vs 2"
 
 
 def test_composite_single_member_reduces_to_convolve():

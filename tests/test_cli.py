@@ -10,6 +10,7 @@ from ghne import (
     Bank,
     LayerSpec,
     Model,
+    TruncatedError,
     collapse,
     load_epitome,
     read_image,
@@ -90,6 +91,18 @@ def test_collapse_malformed_range_is_usage_error(model_file, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("a..3", "expected integer bounds in 'a..3'"), ("3..2", "bad layer range '3..2'")],
+)
+def test_collapse_bad_range_bounds_are_usage_errors(model_file, tmp_path, capsys, text, message):
+    path, _ = model_file
+    with pytest.raises(SystemExit) as exc:
+        main(["collapse", "--model", path, "--layers", text, "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument --layers: {message}")
+
+
 def test_collapse_missing_model_file(tmp_path, capsys):
     assert main(["collapse", "--model", str(tmp_path / "no.ghnm"), "--out", str(tmp_path / "x")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -140,13 +153,15 @@ def test_collapse_allocation_failure_is_usage_error(tmp_path, capsys):
 
 
 def test_stats_on_a_32_gib_header_is_usage_error(tmp_path, capsys):
-    # 2**31 declared entries of 16 bytes: the read either cannot be allocated
-    # (MemoryError) or comes back short (TruncatedError); both are exit 2
+    # 2**31 declared entries of 16 bytes, none present: the loader compares
+    # the declared size with the file before reading, so nothing is allocated
     path = tmp_path / "huge.ghne"
     path.write_bytes(b"GHNE" + struct.pack("<IIIII", 1, 1, 1, 1, 2**31))
+    with pytest.raises(TruncatedError):
+        load_epitome(path)
     out = tmp_path / "stats.csv"
     assert main(["stats", "--epitome", str(path), "--out", str(out)]) == 2
-    only_error_line(capsys)
+    assert capsys.readouterr().err == "error: expected 34359738368 entry bytes, got 0\n"
     assert not out.exists()
 
 
@@ -182,7 +197,8 @@ def test_apply_full_and_same_shapes(model_file, image_file, tmp_path, capsys):
 
 
 def read_feature_values(path):
-    lines = open(path).read().splitlines()[1:]
+    with open(path) as f:
+        lines = f.read().splitlines()[1:]
     return [float(line.rsplit(",", 1)[1]) for line in lines]
 
 
@@ -206,6 +222,18 @@ def test_apply_corrupt_epitome_file(image_file, tmp_path, capsys):
     bad.write_bytes(b"not an epitome")
     assert main(["apply", "--epitome", str(bad), "--input", image_file, "--out", str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_apply_on_a_2_40_pixel_header_is_usage_error(model_file, tmp_path, capsys):
+    deep = finish_collapse(model_file, tmp_path)
+    image = tmp_path / "huge.pgm"
+    image.write_bytes(b"P5\n1048576 1048576\n255\n" + bytes(16))
+    out = tmp_path / "o"
+    assert main(["apply", "--epitome", deep, "--input", str(image), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: truncated raster: expected 1099511627776 bytes, got 16\n"
+    )
+    assert not out.exists()
 
 
 def test_apply_valid_crop_too_small(model_file, tmp_path, capsys):
@@ -249,7 +277,7 @@ def test_verify_zero_tol_reports_fp_failures(capsys):
 
 def test_verify_negative_tol_is_usage_error(capsys):
     assert main(["verify", "--random", "--tol", "-1"]) == 2
-    assert "--tol" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --tol must be >= 0\n"
 
 
 def test_verify_needs_a_source():
@@ -273,7 +301,8 @@ def test_stats_writes_csv(model_file, tmp_path, capsys):
     out = str(tmp_path / "stats.csv")
     assert main(["stats", "--epitome", deep, "--bins", "8", "--out", out]) == 0
     assert "aggregate fuzziness" in capsys.readouterr().out
-    lines = open(out).read().splitlines()
+    with open(out) as f:
+        lines = f.read().splitlines()
     assert lines[0] == "filter,channel,bin_lo,bin_hi,count,fuzziness"
     assert len(lines) == 1 + 8 * 3  # m*c=2 members + aggregate
 
@@ -282,7 +311,8 @@ def test_stats_fixed_range(model_file, tmp_path):
     deep = finish_collapse(model_file, tmp_path)
     out = str(tmp_path / "stats.csv")
     assert main(["stats", "--epitome", deep, "--out", out, "--range", "0", "1"]) == 0
-    first = open(out).read().splitlines()[1]
+    with open(out) as f:
+        first = f.read().splitlines()[1]
     assert first.split(",")[2] == "0.0"
 
 
@@ -369,7 +399,7 @@ def test_stats_constant_half_bank(tmp_path, capsys):
 def test_bench_rejects_zero_reps(model_file, capsys):
     path, _ = model_file
     assert main(["bench", "--model", path, "--input-size", "8", "--reps", "0"]) == 2
-    assert "--reps" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --reps must be >= 1\n"
 
 
 # --- demo ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Model text files, GHNE binary banks, PGM/PPM images, CSV writers."""
 
+import contextlib
+import io
 import os
 import struct
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghne import (
     Bank,
@@ -24,7 +28,9 @@ from ghne import (
     save_epitome,
     save_model,
 )
+from ghne.cli import main
 from ghne.model_io import (
+    FormatError,
     write_features_csv,
     write_member_images,
     write_pgm,
@@ -410,6 +416,22 @@ def test_model_error_table(tmp_path, case):
     assert model_error(tmp_path, body) == f"{where}: {message}"
 
 
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        (b"ghne-model v1\nlayer a\r\nfilters \xff\n", 3, "invalid start byte at byte 31"),
+        (b"ghne-model v1\n\xfflayer a\n", 2, "invalid start byte at byte 14"),
+        (b"ghne-model v1\n\xc3", 2, "unexpected end of data at byte 14"),
+    ],
+)
+def test_model_not_utf8_names_file_and_line(tmp_path, body, line, message):
+    path = tmp_path / "bad.ghnm"
+    path.write_bytes(body)
+    with pytest.raises(ModelFormatError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}:{line}: not UTF-8 text: {message}"
+
+
 def test_save_model_rejects_unwritable_name(tmp_path):
     model = Model([LayerSpec("has space", np.zeros((1, 1, 1)), 1)])
     with pytest.raises(ValueError, match="has space"):
@@ -603,6 +625,29 @@ def test_read_image_rejects_eof_in_header(tmp_path):
         read_image(p)
 
 
+IMAGE_ERRORS = {
+    "bad_width_token": (b"P5\nab 4\n255\n", "bad width b'ab' in image header"),
+    "zero_width": (b"P5\n0 4\n255\n", "image has no pixels: width 0, height 4"),
+    "zero_height": (b"P6\n4 0\n255\n", "image has no pixels: width 4, height 0"),
+    "truncated": (b"P6\n2 2\n255\n" + bytes(11), "truncated raster: expected 12 bytes, got 11"),
+    # 2**40 pixels declared, 16 present: reported without allocating a TiB
+    "huge_header": (
+        b"P5\n1048576 1048576\n255\n" + bytes(16),
+        "truncated raster: expected 1099511627776 bytes, got 16",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IMAGE_ERRORS))
+def test_read_image_error_table(tmp_path, case):
+    body, message = IMAGE_ERRORS[case]
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(body)
+    with pytest.raises(ImageFormatError) as exc:
+        read_image(p)
+    assert str(exc.value) == message
+
+
 def test_write_pgm_validates_shape(tmp_path):
     with pytest.raises(ValueError):
         write_pgm(tmp_path / "a.pgm", np.zeros(3, dtype=np.uint8))
@@ -670,6 +715,13 @@ def test_pseudo_color_requires_three_channels(tmp_path):
     bank = Bank(np.zeros((1, 2, 2, 2)), np.ones((1, 2, 2, 2), dtype=np.int64))
     with pytest.raises(ValueError, match="c=2"):
         write_pseudo_color_images(bank, tmp_path)
+
+
+def test_pseudo_color_requires_rank_two(tmp_path):
+    bank = Bank(np.zeros((1, 3, 4)), np.ones((1, 3, 4), dtype=np.int64))
+    with pytest.raises(ValueError) as exc:
+        write_pseudo_color_images(bank, tmp_path)
+    assert str(exc.value) == "only rank-2 banks render as images, got rank 1"
 
 
 # --- CSV writers ---------------------------------------------------------------
@@ -762,3 +814,113 @@ def test_writes_leave_no_temp_files(tmp_path):
     write_text(tmp_path / "t.txt", "x")
     leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".ghne-tmp-")]
     assert leftovers == []
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    # the rename onto a directory fails after the temp file was written
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_text(tmp_path / "taken", "x")
+    assert os.listdir(tmp_path) == ["taken"]
+
+
+# --- mutated files -------------------------------------------------------------
+
+
+LOADERS = {"ghnm": load_model, "ghne": load_epitome, "pgm": read_image, "ppm": read_image}
+
+
+@pytest.fixture(scope="module")
+def seed_files(tmp_path_factory):
+    """Bytes of one valid file per format, written by the library's own writers."""
+    rng = np.random.default_rng(5)
+    root = tmp_path_factory.mktemp("seeds")
+    save_model(two_layer_model(rng), root / "seed.ghnm")
+    save_epitome(random_bank(rng, m=2, c=1, shape=(3, 3), max_count=9), root / "seed.ghne")
+    write_pgm(root / "seed.pgm", rng.integers(0, 256, (8, 8)))
+    write_ppm(root / "seed.ppm", rng.integers(0, 256, (4, 5, 3)))
+    return {suffix: (root / f"seed.{suffix}").read_bytes() for suffix in LOADERS}
+
+
+# 1-4 byte edits: (kind, position, byte); positions wrap to the file length
+EDITS = st.lists(
+    st.tuples(st.sampled_from(("replace", "insert", "delete")), st.integers(0, 4095), st.integers(0, 255)),
+    min_size=1,
+    max_size=4,
+)
+
+
+def mutate(data: bytes, edits) -> bytes:
+    data = bytearray(data)
+    for kind, pos, byte in edits:
+        if kind == "insert":
+            data.insert(pos % (len(data) + 1), byte)
+        elif kind == "replace":
+            data[pos % len(data)] = byte
+        else:
+            del data[pos % len(data)]
+    return bytes(data)
+
+
+def fresh_file(tmp_path_factory, name, data):
+    # a new directory per example: rewriting one path per case stalls some file systems
+    path = tmp_path_factory.mktemp("case") / name
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize("suffix", sorted(LOADERS))
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(edits=EDITS)
+def test_mutated_file_loads_or_raises_format_error(seed_files, tmp_path_factory, suffix, edits):
+    path = fresh_file(tmp_path_factory, f"m.{suffix}", mutate(seed_files[suffix], edits))
+    try:
+        LOADERS[suffix](path)
+    except FormatError:
+        pass
+
+
+@pytest.mark.parametrize("command, mutated", [("stats", "ghne"), ("apply", "ghne"), ("apply", "pgm")])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(edits=EDITS)
+def test_cli_on_mutated_file_succeeds_or_prints_one_error(
+    seed_files, tmp_path_factory, command, mutated, edits
+):
+    files = {
+        suffix: fresh_file(tmp_path_factory, f"in.{suffix}", seed_files[suffix])
+        for suffix in ("ghne", "pgm")
+    }
+    files[mutated] = fresh_file(tmp_path_factory, f"m.{mutated}", mutate(seed_files[mutated], edits))
+    out = os.path.join(os.path.dirname(files[mutated]), "out")
+    argv = ["stats", "--epitome", files["ghne"], "--out", out]
+    if command == "apply":
+        argv = ["apply", "--epitome", files["ghne"], "--input", files["pgm"], "--out", out]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0] != "error: "
+        assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("suffix", ["ghne", "pgm"])
+def test_declared_reads_work_through_a_pipe(seed_files, tmp_path, suffix):
+    regular = tmp_path / f"file.{suffix}"
+    regular.write_bytes(seed_files[suffix])
+    fifo = tmp_path / f"pipe.{suffix}"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as f:
+            f.write(seed_files[suffix])
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    bank = LOADERS[suffix](fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert bank == LOADERS[suffix](regular)

@@ -28,7 +28,6 @@ import itertools
 import math
 import os
 import re
-import stat
 import struct
 import tempfile
 
@@ -113,16 +112,15 @@ def _atomic_write(path, data: bytes):
         raise
 
 
-def _read_declared(f, n: int, error, message: str) -> bytes:
-    """Read the n bytes a header declares, else raise error(message.format(n=n, got=...)).
-
-    A regular file is never asked for more bytes than it still holds, so a
-    header that declares more data than the file has cannot force the allocation.
-    """
-    st = os.fstat(f.fileno())
-    data = f.read(min(n, max(st.st_size - f.tell(), 0)) if stat.S_ISREG(st.st_mode) else n)
-    if len(data) < n:
-        raise error(message.format(n=n, got=len(data)))
+def _read_declared(f, n: int, error, message: str) -> bytearray:
+    """Read the n declared bytes in 1 MiB chunks, so only data that arrives is held;
+    if the input ends first, raise error(message.format(n=n, got=<bytes read>))."""
+    data = bytearray()
+    while len(data) < n:
+        chunk = f.read(min(n - len(data), 1 << 20))
+        if not chunk:
+            raise error(message.format(n=n, got=len(data)))
+        data += chunk
     return data
 
 
@@ -326,9 +324,8 @@ def load_epitome(path) -> Bank:
     """Read a GHNE file back into a Bank, verifying every declared count.
 
     The magic is checked before anything is sized or allocated; bad
-    magic, unknown version, and truncation raise distinct errors.  No
-    declared size is read past the end of a regular file, so a header
-    that declares more data than the file holds raises TruncatedError.
+    magic, unknown version, and truncation raise distinct errors, also for a
+    header that declares more data than the file or pipe holds.
     """
     with open(path, "rb") as f:
         magic = f.read(4)

@@ -153,8 +153,8 @@ def test_collapse_allocation_failure_is_usage_error(tmp_path, capsys):
 
 
 def test_stats_on_a_32_gib_header_is_usage_error(tmp_path, capsys):
-    # 2**31 declared entries of 16 bytes, none present: the loader compares
-    # the declared size with the file before reading, so nothing is allocated
+    # 2**31 declared entries of 16 bytes, none present: the loader reads
+    # declared sizes in bounded chunks, so nothing of that size is allocated
     path = tmp_path / "huge.ghne"
     path.write_bytes(b"GHNE" + struct.pack("<IIIII", 1, 1, 1, 1, 2**31))
     with pytest.raises(TruncatedError):

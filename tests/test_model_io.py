@@ -907,20 +907,75 @@ def test_cli_on_mutated_file_succeeds_or_prints_one_error(
         assert not os.path.exists(out)
 
 
+def through_pipe(tmp_path, name, data, read):
+    """Call read(path) on a FIFO at tmp_path/name that a thread fills with data."""
+    fifo = tmp_path / name
+    os.mkfifo(fifo)
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as f:
+            f.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return read(fifo)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
 @pytest.mark.parametrize("suffix", ["ghne", "pgm"])
 def test_declared_reads_work_through_a_pipe(seed_files, tmp_path, suffix):
     regular = tmp_path / f"file.{suffix}"
     regular.write_bytes(seed_files[suffix])
-    fifo = tmp_path / f"pipe.{suffix}"
-    os.mkfifo(fifo)
-
-    def feed():
-        with open(fifo, "wb") as f:
-            f.write(seed_files[suffix])
-
-    writer = threading.Thread(target=feed, daemon=True)
-    writer.start()
-    bank = LOADERS[suffix](fifo)
-    writer.join(timeout=10)
-    assert not writer.is_alive()
+    bank = through_pipe(tmp_path, f"pipe.{suffix}", seed_files[suffix], LOADERS[suffix])
     assert bank == LOADERS[suffix](regular)
+
+
+def test_entries_larger_than_one_read_chunk_load_through_a_pipe(tmp_path):
+    # 2 * 200 * 200 entries of 16 bytes: 1.28 MB, more than one 1 MiB chunk
+    rng = np.random.default_rng(5)
+    bank = Bank(rng.standard_normal((2, 1, 200, 200)), rng.integers(1, 9, (2, 1, 200, 200)))
+    path = tmp_path / "big.ghne"
+    save_epitome(bank, path)
+    assert load_epitome(path) == bank
+    assert through_pipe(tmp_path, "pipe.ghne", path.read_bytes(), load_epitome) == bank
+
+
+# declared sizes past 2**63, more than one read() call accepts, followed by 16 bytes
+HUGE_HEADERS = {
+    "ghne": (
+        b"GHNE" + struct.pack("<6I", 1, 1, 1, 2, 2**32 - 1, 2**32 - 1) + bytes(16),
+        TruncatedError,
+        f"expected {(2**32 - 1) ** 2 * 16} entry bytes, got 16",
+    ),
+    "pgm": (
+        b"P5\n4294967296 4294967296\n255\n" + bytes(16),
+        ImageFormatError,
+        "truncated raster: expected 18446744073709551616 bytes, got 16",
+    ),
+}
+
+
+@pytest.mark.parametrize("suffix", sorted(HUGE_HEADERS))
+def test_huge_header_through_a_pipe_is_a_named_error(seed_files, tmp_path, suffix):
+    data, error, message = HUGE_HEADERS[suffix]
+    with pytest.raises(error) as info:
+        through_pipe(tmp_path, f"pipe.{suffix}", data, LOADERS[suffix])
+    assert str(info.value) == message
+
+    epitome = tmp_path / "deep.ghne"
+    epitome.write_bytes(seed_files["ghne"])
+    out = tmp_path / "out"
+
+    def run(fifo):
+        argv = ["stats", "--epitome", str(fifo), "--out", str(out)]
+        if suffix == "pgm":
+            argv = ["apply", "--epitome", str(epitome), "--input", str(fifo), "--out", str(out)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            return main(argv), err.getvalue()
+
+    assert through_pipe(tmp_path, f"cli.{suffix}", data, run) == (2, f"error: {message}\n")
+    assert not out.exists()

@@ -18,6 +18,7 @@ stride-2 kernel becomes 10x10 and all the stride-1 shape arithmetic
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -383,7 +384,8 @@ def bank_stats(bank: Bank, bins: int, value_range=None) -> StatsReport:
 
     When no range is given, all histograms share the bank-global min/max
     so bin edges line up across members (a constant bank falls back to
-    numpy's expanded single-point range).
+    numpy's expanded single-point range).  A range wider than float64's
+    maximum raises ValueError.
     """
     values = bank.values()
     shared = value_range
@@ -391,6 +393,8 @@ def bank_stats(bank: Bank, bins: int, value_range=None) -> StatsReport:
         lo = float(values.min())
         hi = float(values.max())
         shared = (lo, hi) if lo < hi else None
+    if shared is not None and float(shared[1]) - float(shared[0]) == math.inf:
+        raise ValueError(f"histogram range {shared} is wider than float64's maximum")
     members = []
     for i in range(bank.m):
         for j in range(bank.c):

@@ -99,24 +99,24 @@ def cmd_apply(args) -> int:
     return _EXIT_OK
 
 
-def _verify_lines(args):
-    rng = np.random.default_rng(args.seed)
-    weight_range = (-1.5, 1.5) if args.wide_weights else (0.0, 1.0)
-    model = model_io.load_model(args.model) if args.model else None
+def _verify_lines(seed, trials, tol, model_path, wide_weights):
+    rng = np.random.default_rng(seed)
+    weight_range = (-1.5, 1.5) if wide_weights else (0.0, 1.0)
+    model = model_io.load_model(model_path) if model_path else None
     reports = [
-        ("pairwise-sum-identity", oracle.suite_pairwise_sum_identity(rng, args.trials, args.tol)),
-        ("epitome-associativity", oracle.suite_epitome_associativity(rng, args.trials, args.tol)),
+        ("pairwise-sum-identity", oracle.suite_pairwise_sum_identity(rng, trials, tol)),
+        ("epitome-associativity", oracle.suite_epitome_associativity(rng, trials, tol)),
         (
             "collapse-equivalence",
             oracle.suite_collapse_equivalence(
-                rng, args.trials, args.tol, model=model, weight_range=weight_range
+                rng, trials, tol, model=model, weight_range=weight_range
             ),
         ),
     ]
     lines = [_format_report(name, rep) for name, rep in reports]
     ok = all(rep.passed for _, rep in reports)
     try:
-        nonassoc = oracle.suite_raw_nonassociativity(args.seed, tol=args.tol)
+        nonassoc = oracle.suite_raw_nonassociativity(seed, tol)
         lines.append(_format_nonassoc("raw-nonassociativity", nonassoc))
         ok = ok and nonassoc.passed
     except RuntimeError as e:
@@ -128,7 +128,7 @@ def _verify_lines(args):
 def cmd_verify(args) -> int:
     if args.tol < 0:
         raise ValueError("--tol must be >= 0")
-    lines, ok = _verify_lines(args)
+    lines, ok = _verify_lines(args.seed, args.trials, args.tol, args.model, args.wide_weights)
     for line in lines:
         print(line)
     return _EXIT_OK if ok else _EXIT_VERIFY
@@ -232,10 +232,7 @@ def cmd_demo(args) -> int:
     model_io.write_member_images(features, feature_dir, prefix="feature")
     model_io.write_features_csv(features, os.path.join(feature_dir, "features.csv"))
 
-    verify_args = argparse.Namespace(
-        seed=args.seed, trials=20, tol=1e-9, model=model_path, wide_weights=False
-    )
-    lines, ok = _verify_lines(verify_args)
+    lines, ok = _verify_lines(args.seed, 20, 1e-9, model_path, False)
     model_io.write_text(os.path.join(out, "verify.txt"), "\n".join(lines) + "\n")
     for line in lines:
         print(line)

@@ -149,16 +149,13 @@ class Histogram:
     counts: np.ndarray
 
 
-def make_normalized(values, shape=None) -> Epitome:
+def make_normalized(values) -> Epitome:
     """Wrap a grid of plain values (weights or inputs) as a normalized epitome.
 
     Raw data not yet involved in any convolution is an epitome with
-    g = value and s = 1 everywhere.  If ``shape`` is given it must match
-    the grid.
+    g = value and s = 1 everywhere.
     """
     g = np.asarray(values, dtype=np.float64)
-    if shape is not None and tuple(shape) != g.shape:
-        raise ValueError(f"values shape {g.shape} does not match declared shape {tuple(shape)}")
     return Epitome(g, np.ones(g.shape, dtype=np.int64))
 
 
@@ -335,8 +332,17 @@ def add(a: Epitome, b: Epitome) -> Epitome:
 
 
 def mean_fuzziness(e) -> float:
-    """Arithmetic mean over entries of fuzziness(g/s), of an Epitome or a Bank."""
-    return float(np.mean(_scalar_fuzziness(e.values())))
+    """Arithmetic mean over entries of fuzziness(g/s), of an Epitome or a Bank.
+
+    A fuzziness or mean past float64's range, as for |g/s| above about
+    1e154, raises ValueError.
+    """
+    with np.errstate(over="raise"):
+        try:
+            return float(np.mean(_scalar_fuzziness(e.values())))
+        except FloatingPointError:
+            peak = float(np.abs(e.values()).max())
+            raise ValueError(f"fuzziness overflows float64: |g/s| reaches {peak!r}") from None
 
 
 def histogram(e: Epitome, bins: int, value_range=None) -> Histogram:

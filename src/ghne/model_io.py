@@ -433,6 +433,8 @@ def write_ppm(path, pixels):
 def _scale_to_bytes(values):
     lo = float(values.min())
     hi = float(values.max())
+    if hi - lo == math.inf:
+        raise ValueError(f"member values from {lo!r} to {hi!r} span more than float64's maximum")
     if hi > lo:
         pixels = np.rint((values - lo) / (hi - lo) * 255.0).astype(np.uint8)
         return pixels, lo, hi, False
@@ -455,20 +457,21 @@ def write_member_images(bank: Bank, out_dir, prefix: str = "member") -> list:
 
     Scaling bounds go into scaling.txt in the same directory; a member
     with no spread renders as constant mid-gray 128 and is flagged.
+    Every member is scaled before anything is written, so a member that
+    cannot be scaled leaves no file behind.
     """
     if bank.rank != 2:
         raise ValueError(f"only rank-2 banks render as images, got rank {bank.rank}")
-    os.makedirs(out_dir, exist_ok=True)
     values = bank.values()
+    scaled = [(i, j, *_scale_to_bytes(values[i, j])) for i in range(bank.m) for j in range(bank.c)]
+    os.makedirs(out_dir, exist_ok=True)
     written = []
     sidecar = []
-    for i in range(bank.m):
-        for j in range(bank.c):
-            pixels, lo, hi, constant = _scale_to_bytes(values[i, j])
-            filename = f"{prefix}_f{i}_c{j}.pgm"
-            write_pgm(os.path.join(out_dir, filename), pixels)
-            sidecar.append(_sidecar_line(filename, lo, hi, constant))
-            written.append(os.path.join(out_dir, filename))
+    for i, j, pixels, lo, hi, constant in scaled:
+        filename = f"{prefix}_f{i}_c{j}.pgm"
+        write_pgm(os.path.join(out_dir, filename), pixels)
+        sidecar.append(_sidecar_line(filename, lo, hi, constant))
+        written.append(os.path.join(out_dir, filename))
     write_text(os.path.join(out_dir, "scaling.txt"), "\n".join(sidecar) + "\n")
     return written
 
@@ -476,25 +479,23 @@ def write_member_images(bank: Bank, out_dir, prefix: str = "member") -> list:
 def write_pseudo_color_images(bank: Bank, out_dir, prefix: str = "member") -> list:
     """Write one PPM per filter, channels 0,1,2 mapped to R,G,B.
 
-    Each channel is min-max scaled independently; bounds land in
-    scaling.txt, one line per channel.
+    Each channel is min-max scaled independently, all before anything
+    is written; bounds land in scaling.txt, one line per channel.
     """
     if bank.c != 3:
         raise ValueError(f"pseudo-color rendering needs exactly 3 channels, bank has c={bank.c}")
     if bank.rank != 2:
         raise ValueError(f"only rank-2 banks render as images, got rank {bank.rank}")
-    os.makedirs(out_dir, exist_ok=True)
     values = bank.values()
+    scaled = [[_scale_to_bytes(values[i, j]) for j in range(3)] for i in range(bank.m)]
+    os.makedirs(out_dir, exist_ok=True)
     written = []
     sidecar = []
-    for i in range(bank.m):
-        planes = []
+    for i, channels in enumerate(scaled):
         filename = f"{prefix}_f{i}_rgb.ppm"
-        for j in range(3):
-            pixels, lo, hi, constant = _scale_to_bytes(values[i, j])
-            planes.append(pixels)
+        for j, (_, lo, hi, constant) in enumerate(channels):
             sidecar.append(_sidecar_line(filename, lo, hi, constant, channel=j))
-        write_ppm(os.path.join(out_dir, filename), np.stack(planes, axis=-1))
+        write_ppm(os.path.join(out_dir, filename), np.stack([c[0] for c in channels], axis=-1))
         written.append(os.path.join(out_dir, filename))
     write_text(os.path.join(out_dir, "scaling.txt"), "\n".join(sidecar) + "\n")
     return written

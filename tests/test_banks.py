@@ -103,6 +103,25 @@ def test_bank_values_and_equality():
     assert b != Bank([[[2.0, 3.0, 4.0]]], [[[2, 3, 1]]])
 
 
+def test_bank_never_equals_an_epitome():
+    # same g and s, other class: __eq__ defers, and identity decides
+    b = Bank([[[0.5]]], [[[1]]])
+    assert b.__eq__(Epitome([[[0.5]]], [[[1]]])) is NotImplemented
+    assert b != Epitome([[[0.5]]], [[[1]]])
+
+
+def test_reprs():
+    layer = LayerSpec("conv1", np.zeros((2, 1, 3, 3)), (1, 2))
+    assert repr(Bank(np.zeros((2, 3, 4, 5)), np.ones((2, 3, 4, 5), dtype=np.int64))) == (
+        "Bank(m=2, c=3, spatial=(4, 5))"
+    )
+    assert repr(layer) == "LayerSpec('conv1', filters=2, channels=1, kernel=(3, 3), stride=(1, 2))"
+    assert repr(Model([layer, LayerSpec("conv2", np.zeros((1, 2, 2, 2)), 1)])) == (
+        "Model([conv1, conv2])"
+    )
+    assert repr(Epitome([0.5, 0.25], [1, 2])) == "Epitome(shape=(2,), normalized=False)"
+
+
 # --- stride resizing --------------------------------------------------------
 
 
@@ -217,6 +236,11 @@ def test_model_chain_error_names_both_layers():
     with pytest.raises(ValueError) as exc:
         Model([a, b])
     assert "first" in str(exc.value) and "second" in str(exc.value)
+
+
+def test_model_needs_a_layer():
+    with pytest.raises(ValueError, match="^model needs at least one layer$"):
+        Model([])
 
 
 def test_model_rejects_rank_mix():
@@ -410,6 +434,8 @@ def test_effective_shape_closed_form():
     assert effective_shape(layers) == (23, 23)
     assert effective_shape(layers[:1]) == (5, 5)
     assert effective_shape(layers[:2]) == (14, 14)
+    with pytest.raises(ValueError, match="^no layers$"):
+        effective_shape([])
 
 
 def test_effective_shape_growth_tables():
@@ -695,3 +721,19 @@ def test_bank_stats_validation():
         bank_stats(b, bins=0)
     with pytest.raises(ValueError):
         bank_stats(b, bins=2, value_range=(1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "g, value_range, message",
+    [
+        # the data's own range spans past float64's maximum
+        ([-1.5e308, 1.5e308], None, r"histogram range \(-1.5e\+308, 1.5e\+308\) is wider"),
+        ([0.0, 1.0], (-1e308, 1e308), r"histogram range \(-1e\+308, 1e\+308\) is wider"),
+        # 2u(1-u) of 1e200 overflows
+        ([0.0, 1e200], None, r"^fuzziness overflows float64: \|g/s\| reaches 1e\+200$"),
+    ],
+)
+def test_bank_stats_past_float64_range_is_named(g, value_range, message):
+    b = Bank([[g]], np.ones((1, 1, 2), dtype=np.int64))
+    with pytest.raises(ValueError, match=message):
+        bank_stats(b, bins=2, value_range=value_range)

@@ -280,6 +280,17 @@ def test_verify_negative_tol_is_usage_error(capsys):
     assert capsys.readouterr().err == "error: --tol must be >= 0\n"
 
 
+def test_verify_reports_a_failed_witness_search(monkeypatch, capsys):
+    def no_witness(seed):
+        raise RuntimeError("no non-associativity witness found in 1000 trials")
+
+    monkeypatch.setattr(oracle, "find_nonassoc_witness", no_witness)
+    assert main(["verify", "--random", "--trials", "2"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "raw-nonassociativity: FAIL no non-associativity witness found in 1000 trials"
+    assert all(": PASS" in line for line in out[:-1])
+
+
 def test_verify_needs_a_source():
     with pytest.raises(SystemExit) as exc:
         main(["verify"])
@@ -394,6 +405,48 @@ def test_stats_constant_half_bank(tmp_path, capsys):
     out = str(tmp_path / "half.csv")
     assert main(["stats", "--epitome", path, "--bins", "4", "--out", out]) == 0
     assert "aggregate fuzziness 0.500000" in capsys.readouterr().out
+
+
+def save_bank(tmp_path, g):
+    path = str(tmp_path / "bank.ghne")
+    save_epitome(Bank(g, np.ones(np.shape(g), dtype=np.int64)), path)
+    return path
+
+
+def test_stats_on_fuzziness_past_float64_is_usage_error(tmp_path, capsys):
+    path = save_bank(tmp_path, [[[[1e200, 0.0], [0.0, 0.0]]]])
+    out = tmp_path / "stats.csv"
+    assert main(["stats", "--epitome", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: fuzziness overflows float64: |g/s| reaches 1e+200\n"
+    assert not out.exists()
+
+
+_WIDE_MEMBER = "member values from -1.5e+308 to 1.5e+308 span more than float64's maximum"
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["render"], _WIDE_MEMBER),
+        (["render", "--pseudo-color"], _WIDE_MEMBER),
+        (["stats"], "histogram range (-1.5e+308, 1.5e+308) is wider than float64's maximum"),
+    ],
+)
+def test_a_span_past_float64_is_usage_error(tmp_path, capsys, command, message):
+    # the last of six members spans past float64's maximum, so a writer
+    # that wrote member by member would leave images behind
+    g = np.zeros((2, 3, 2, 2))
+    g[1, 2, 0, 0], g[1, 2, 1, 1] = -1.5e308, 1.5e308
+    out = tmp_path / "out"
+    assert main([*command, "--epitome", save_bank(tmp_path, g), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_render_a_span_just_inside_float64(tmp_path, capsys):
+    path = save_bank(tmp_path, [[[[-8e307, 0.0], [0.0, 8e307]]]])
+    assert main(["render", "--epitome", path, "--out", str(tmp_path / "r")]) == 0
+    assert (tmp_path / "r" / "member_f0_c0.pgm").read_bytes().endswith(bytes([0, 128, 128, 255]))
 
 
 def test_bench_rejects_zero_reps(model_file, capsys):

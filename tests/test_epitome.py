@@ -56,9 +56,6 @@ def test_make_normalized_definitional():
 
 
 def test_make_normalized_shape_checked():
-    make_normalized([0.1, 0.2], shape=(2,))
-    with pytest.raises(ValueError):
-        make_normalized([0.1, 0.2], shape=(3,))
     with pytest.raises(ValueError):
         make_normalized([])
 
@@ -297,6 +294,15 @@ def test_mean_fuzziness_landmarks():
     assert mean_fuzziness(make_normalized([0.0, 1.0, 1.0, 0.0])) == 0.0
     # counted entries normalize first: 1.5/3 = 0.5
     assert mean_fuzziness(Epitome([1.5], [3])) == 0.5
+
+
+def test_mean_fuzziness_past_float64_range_is_named():
+    # 2u(1-u) is about -1.6e308 at u = 9e153: finite once, past the range summed twice
+    assert mean_fuzziness(make_normalized([9e153, 0.0])) == pytest.approx(-8.1e307)
+    with pytest.raises(ValueError, match=r"^fuzziness overflows float64: \|g/s\| reaches 9e\+153$"):
+        mean_fuzziness(make_normalized([9e153, 9e153]))
+    with pytest.raises(ValueError, match=r"reaches 1e\+155$"):
+        mean_fuzziness(make_normalized([1e155]))
 
 
 def test_mean_fuzziness_elementwise_oracle():

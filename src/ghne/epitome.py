@@ -76,7 +76,11 @@ class _PairGrid:
     def __init__(self, g, s):
         g = np.array(g, dtype=np.float64)
         s = np.asarray(s)
-        if not (np.issubdtype(s.dtype, np.integer) or np.issubdtype(s.dtype, np.bool_)):
+        # numpy holds a list with an int past 2**64 - 1 as Python ints (dtype object)
+        exact = s.dtype.kind in "biu" or (
+            s.dtype.kind == "O" and all(isinstance(v, (int, np.integer)) for v in s.flat)
+        )
+        if not exact:
             # reject silent float counts; exact integer arithmetic is load-bearing
             raise TypeError(f"counts must be integers, got dtype {s.dtype}")
         if g.ndim < self._MIN_RANK:
@@ -87,10 +91,11 @@ class _PairGrid:
             raise ValueError(f"{self._NAME} must have at least one entry per axis")
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite g value in {self._NAME}")
-        # one copy, which the frozen arrays below depend on
-        s = _int64_counts(s)
+        # checked before the int64 copy, which a Python int below -2**63 overflows
         if np.any(s < 1):
             raise ValueError("every summand count must be >= 1")
+        # one copy, which the frozen arrays below depend on
+        s = _int64_counts(s)
         g.setflags(write=False)
         s.setflags(write=False)
         self.g = g
@@ -178,6 +183,9 @@ def merged_pair(gn, sn, gm, sm):
     return float(ghd(gn, gm) + (sm - 1) * gn + (sn - 1) * gm), sn * sm
 
 
+# a g past float64's range becomes inf or nan without a numpy warning, and
+# the non-finite check of the Bank or Epitome built from it names the failure
+@np.errstate(over="ignore", invalid="ignore")
 def bank_convolve(ga, sa, gb, sb):
     """Full hamming convolution of two banks given as arrays.
 
@@ -328,7 +336,10 @@ def add(a: Epitome, b: Epitome) -> Epitome:
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return Epitome(a.g + b.g, a.s.astype(np.uint64) + b.s.astype(np.uint64))
+    with np.errstate(over="ignore"):
+        g = a.g + b.g
+    # a sum past float64's range is inf, which Epitome rejects as non-finite
+    return Epitome(g, a.s.astype(np.uint64) + b.s.astype(np.uint64))
 
 
 def mean_fuzziness(e) -> float:

@@ -7,7 +7,8 @@ Three formats, all little-endian where binary:
   ``kernel``, optional ``stride`` (default 1), and ``weights inline``
   (whitespace-separated decimals, row-major [filter][channel][spatial])
   or ``weights blob <relative-path>`` pointing at raw little-endian
-  float64 next to the model file.  ``#`` starts a comment anywhere.
+  float64 next to the model file, a regular file of exactly 8 bytes per
+  weight.  ``#`` starts a comment anywhere.
 
 * Epitome banks (binary): magic ``GHNE``, u32 version, u32 m, c, rank,
   rank u32 extents, then m*c*prod(extents) interleaved (f64 g, u64 s)
@@ -28,6 +29,7 @@ import itertools
 import math
 import os
 import re
+import stat
 import struct
 import tempfile
 
@@ -235,17 +237,25 @@ def load_model(path) -> Model:
             if os.path.isabs(rel):
                 fail(lineno, f"layer {name!r}: blob path must be relative, got {rel!r}")
             blob_path = os.path.join(os.path.dirname(path) or ".", rel)
+            # sized before it is opened: opening a FIFO blocks, and a device
+            # such as /dev/zero, or a huge file, would be read to its end
             try:
-                with open(blob_path, "rb") as bf:
-                    blob = bf.read()
+                info = os.stat(blob_path)
             except OSError as e:
                 fail(lineno, f"layer {name!r}: cannot read weight blob {rel!r}: {e}")
-            if len(blob) != count * 8:
+            if not stat.S_ISREG(info.st_mode):
+                fail(lineno, f"layer {name!r}: weight blob {rel!r} is not a regular file")
+            if info.st_size != count * 8:
                 fail(
                     lineno,
-                    f"layer {name!r}: blob {rel!r} holds {len(blob) // 8} float64 "
+                    f"layer {name!r}: blob {rel!r} holds {info.st_size // 8} float64 "
                     f"values, expected {count}",
                 )
+            try:
+                with open(blob_path, "rb") as bf:
+                    blob = bf.read(count * 8)
+            except OSError as e:
+                fail(lineno, f"layer {name!r}: cannot read weight blob {rel!r}: {e}")
             weights = np.frombuffer(blob, dtype="<f8").astype(np.float64)
             pos += 1
         else:
@@ -412,13 +422,19 @@ def read_image(path) -> Bank:
     return Bank(g, np.ones(g.shape, dtype=np.int64))
 
 
+def _write_pnm(path, pixels):
+    """Write (h, w) uint8 pixels as binary PGM (P5), (h, w, 3) as PPM (P6)."""
+    h, w = pixels.shape[:2]
+    magic = "P5" if pixels.ndim == 2 else "P6"
+    _atomic_write(path, f"{magic}\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes())
+
+
 def write_pgm(path, pixels):
     """Write a 2-D uint8 array as binary PGM."""
     pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
     if pixels.ndim != 2:
         raise ValueError(f"PGM needs a 2-D array, got shape {pixels.shape}")
-    h, w = pixels.shape
-    _atomic_write(path, f"P5\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes())
+    _write_pnm(path, pixels)
 
 
 def write_ppm(path, pixels):
@@ -426,30 +442,44 @@ def write_ppm(path, pixels):
     pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
     if pixels.ndim != 3 or pixels.shape[2] != 3:
         raise ValueError(f"PPM needs an (h, w, 3) array, got shape {pixels.shape}")
-    h, w = pixels.shape[:2]
-    _atomic_write(path, f"P6\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes())
+    _write_pnm(path, pixels)
 
 
-def _scale_to_bytes(values):
-    lo = float(values.min())
-    hi = float(values.max())
-    if hi - lo == math.inf:
-        raise ValueError(f"member values from {lo!r} to {hi!r} span more than float64's maximum")
-    if hi > lo:
-        pixels = np.rint((values - lo) / (hi - lo) * 255.0).astype(np.uint8)
-        return pixels, lo, hi, False
-    return np.full(values.shape, 128, dtype=np.uint8), lo, hi, True
+def _render(bank: Bank, out_dir, images) -> list:
+    """Write the images of a rank-2 bank, then scaling.txt; return the image paths.
 
-
-def _sidecar_line(filename, lo, hi, constant, channel=None) -> str:
-    parts = [filename]
-    if channel is not None:
-        parts.append(f"channel={channel}")
-    parts.append(f"lo={_fmt(lo)}")
-    parts.append(f"hi={_fmt(hi)}")
-    if constant:
-        parts.append("constant=128")
-    return " ".join(parts)
+    images lists (filename, planes): planes is [(label, i, j)] for a PGM
+    of member (i, j), or three such triples for a PPM's R, G, B.  Every
+    plane is min-max scaled, mid-gray 128 if it has no spread, and gets
+    its scaling.txt line before anything is written, so a plane that
+    cannot be scaled leaves no file behind.
+    """
+    if bank.rank != 2:
+        raise ValueError(f"only rank-2 banks render as images, got rank {bank.rank}")
+    values = bank.values()
+    files, sidecar = [], []
+    for name, planes in images:
+        pixels = []
+        for label, i, j in planes:
+            member = values[i, j]
+            lo, hi = float(member.min()), float(member.max())
+            if hi - lo == math.inf:
+                raise ValueError(
+                    f"member values from {lo!r} to {hi!r} span more than float64's maximum"
+                )
+            if hi > lo:
+                pixels.append(np.rint((member - lo) / (hi - lo) * 255.0).astype(np.uint8))
+            else:
+                pixels.append(np.full(member.shape, 128, dtype=np.uint8))
+            flag = "" if hi > lo else " constant=128"
+            sidecar.append(f"{name}{label} lo={_fmt(lo)} hi={_fmt(hi)}{flag}")
+        stacked = pixels[0] if len(pixels) == 1 else np.stack(pixels, axis=-1)
+        files.append((os.path.join(out_dir, name), stacked))
+    os.makedirs(out_dir, exist_ok=True)
+    for path, stacked in files:
+        _write_pnm(path, stacked)
+    write_text(os.path.join(out_dir, "scaling.txt"), "\n".join(sidecar) + "\n")
+    return [path for path, _ in files]
 
 
 def write_member_images(bank: Bank, out_dir, prefix: str = "member") -> list:
@@ -460,20 +490,8 @@ def write_member_images(bank: Bank, out_dir, prefix: str = "member") -> list:
     Every member is scaled before anything is written, so a member that
     cannot be scaled leaves no file behind.
     """
-    if bank.rank != 2:
-        raise ValueError(f"only rank-2 banks render as images, got rank {bank.rank}")
-    values = bank.values()
-    scaled = [(i, j, *_scale_to_bytes(values[i, j])) for i in range(bank.m) for j in range(bank.c)]
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    sidecar = []
-    for i, j, pixels, lo, hi, constant in scaled:
-        filename = f"{prefix}_f{i}_c{j}.pgm"
-        write_pgm(os.path.join(out_dir, filename), pixels)
-        sidecar.append(_sidecar_line(filename, lo, hi, constant))
-        written.append(os.path.join(out_dir, filename))
-    write_text(os.path.join(out_dir, "scaling.txt"), "\n".join(sidecar) + "\n")
-    return written
+    members = [(i, j) for i in range(bank.m) for j in range(bank.c)]
+    return _render(bank, out_dir, [(f"{prefix}_f{i}_c{j}.pgm", [("", i, j)]) for i, j in members])
 
 
 def write_pseudo_color_images(bank: Bank, out_dir, prefix: str = "member") -> list:
@@ -484,21 +502,8 @@ def write_pseudo_color_images(bank: Bank, out_dir, prefix: str = "member") -> li
     """
     if bank.c != 3:
         raise ValueError(f"pseudo-color rendering needs exactly 3 channels, bank has c={bank.c}")
-    if bank.rank != 2:
-        raise ValueError(f"only rank-2 banks render as images, got rank {bank.rank}")
-    values = bank.values()
-    scaled = [[_scale_to_bytes(values[i, j]) for j in range(3)] for i in range(bank.m)]
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    sidecar = []
-    for i, channels in enumerate(scaled):
-        filename = f"{prefix}_f{i}_rgb.ppm"
-        for j, (_, lo, hi, constant) in enumerate(channels):
-            sidecar.append(_sidecar_line(filename, lo, hi, constant, channel=j))
-        write_ppm(os.path.join(out_dir, filename), np.stack([c[0] for c in channels], axis=-1))
-        written.append(os.path.join(out_dir, filename))
-    write_text(os.path.join(out_dir, "scaling.txt"), "\n".join(sidecar) + "\n")
-    return written
+    rgb = [[(f" channel={j}", i, j) for j in range(3)] for i in range(bank.m)]
+    return _render(bank, out_dir, [(f"{prefix}_f{i}_rgb.ppm", rgb[i]) for i in range(bank.m)])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .banks import Bank, LayerSpec, Model, apply, collapse, layer_to_bank
-from .epitome import Epitome, _int64_counts, convolve, make_normalized, merged_pair
+from .epitome import Epitome, convolve, make_normalized, merged_pair
 from .ghd import ghd
 
 __all__ = [
@@ -161,13 +161,16 @@ def reference_composite(a: Bank, b: Bank) -> Bank:
     bound = int(a.s.max()) * int(b.s.max()) * a.m * math.prod(b.spatial_shape)
     g = np.zeros(shape)
     s = np.zeros(shape, dtype=object if bound >= 2**63 else np.int64)
-    for i in range(b.m):
-        for j in range(a.c):
-            for k in range(a.m):
-                _add_member_convolution(
-                    g[i, j], s[i, j], a.g[k, j], a.s[k, j], b.g[i, k], b.s[i, k]
-                )
-    return Bank(g, _int64_counts(s))
+    # a g past float64's range becomes inf or nan without a numpy warning,
+    # and Bank rejects it as non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(b.m):
+            for j in range(a.c):
+                for k in range(a.m):
+                    _add_member_convolution(
+                        g[i, j], s[i, j], a.g[k, j], a.s[k, j], b.g[i, k], b.s[i, k]
+                    )
+    return Bank(g, s)
 
 
 def layered_forward(model: Model, input_bank: Bank, fill: str = "replicate") -> Bank:

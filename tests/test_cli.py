@@ -280,6 +280,21 @@ def test_verify_negative_tol_is_usage_error(capsys):
     assert capsys.readouterr().err == "error: --tol must be >= 0\n"
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_without_trials_is_usage_error(capsys, trials):
+    # every suite passed with entries=0 (or -3): a check that checked nothing
+    assert main(["verify", "--random", "--trials", trials]) == 2
+    assert capsys.readouterr() == ("", "error: --trials must be >= 1\n")
+
+
+def test_verify_wide_weights_with_a_model_is_usage_error(model_file, capsys):
+    # the model's own weights are used, so the flag was silently ignored
+    path, _ = model_file
+    assert main(["verify", "--model", path, "--trials", "2", "--wide-weights"]) == 2
+    err = "error: --wide-weights applies only to --random, not to --model\n"
+    assert capsys.readouterr() == ("", err)
+
+
 def test_verify_reports_a_failed_witness_search(monkeypatch, capsys):
     def no_witness(seed):
         raise RuntimeError("no non-associativity witness found in 1000 trials")
@@ -325,6 +340,17 @@ def test_stats_fixed_range(model_file, tmp_path):
     with open(out) as f:
         first = f.read().splitlines()[1]
     assert first.split(",")[2] == "0.0"
+
+
+@pytest.mark.parametrize("lo, hi", [("-1e-3", "1"), ("-2.5E-1", "-1_0e-2"), ("-.5e0", "1.")])
+def test_stats_range_takes_negative_bounds_with_exponents(model_file, tmp_path, lo, hi):
+    # argparse's own negative-number pattern read "-1e-3" as an option
+    deep = finish_collapse(model_file, tmp_path)
+    out = str(tmp_path / "stats.csv")
+    assert main(["stats", "--epitome", deep, "--bins", "1", "--out", out, "--range", lo, hi]) == 0
+    with open(out) as f:
+        first = f.read().splitlines()[1]
+    assert first.split(",")[2:4] == [repr(float(lo)), repr(float(hi))]
 
 
 def test_stats_bad_bins(model_file, tmp_path, capsys):
@@ -443,10 +469,48 @@ def test_a_span_past_float64_is_usage_error(tmp_path, capsys, command, message):
     assert not out.exists()
 
 
+def test_a_g_past_float64_is_a_named_error_without_warnings(tmp_path, capsys):
+    # 1e308 and -1e308 overflow T = s - 2g in the kernel and the additive
+    # merge in the reference; tier-1 turns numpy's RuntimeWarnings into errors
+    layer = "filters 1\nchannels 1\nkernel 2\nweights inline\n1e308 -1e308\n"
+    model = tmp_path / "wide.ghnm"
+    model.write_text(f"ghne-model v1\nlayer a\n{layer}layer b\n{layer}")
+    deep = tmp_path / "deep.ghne"
+    image = tmp_path / "in.pgm"
+    write_pgm(image, np.arange(64, dtype=np.uint8).reshape(8, 8))
+    out = tmp_path / "out"
+    wide = save_bank(tmp_path, np.full((1, 1, 2, 2), 8e307))
+    for command in (
+        ["collapse", "--model", str(model), "--out", str(deep)],
+        ["verify", "--model", str(model), "--trials", "2"],
+        ["apply", "--epitome", wide, "--input", str(image), "--out", str(out)],
+    ):
+        assert main(command) == 2
+        assert capsys.readouterr() == ("", "error: non-finite g value in bank\n")
+    assert not deep.exists() and not out.exists()
+
+
 def test_render_a_span_just_inside_float64(tmp_path, capsys):
     path = save_bank(tmp_path, [[[[-8e307, 0.0], [0.0, 8e307]]]])
     assert main(["render", "--epitome", path, "--out", str(tmp_path / "r")]) == 0
     assert (tmp_path / "r" / "member_f0_c0.pgm").read_bytes().endswith(bytes([0, 128, 128, 255]))
+
+
+def test_bench_gates_the_epitome_it_times(model_file, monkeypatch, capsys):
+    from ghne import cli
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return collapse(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "collapse", counted)
+    monkeypatch.setattr(oracle, "collapse", counted)
+    path, _ = model_file
+    assert main(["bench", "--model", path, "--input-size", "8", "--reps", "1"]) == 0
+    assert "bench-equivalence: PASS" in capsys.readouterr().err
+    assert len(calls) == 1
 
 
 def test_bench_rejects_zero_reps(model_file, capsys):

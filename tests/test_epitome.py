@@ -277,13 +277,29 @@ def test_add_shape_mismatch():
         (2**63, lambda: add(Epitome([0.0], [2**62]), Epitome([0.0], [2**62]))),
         (2**63, lambda: Bank(np.zeros((1, 1, 1)), [[[2**63]]])),
         (2**64 - 1, lambda: Bank(np.zeros((1, 1, 1)), np.full((1, 1, 1), 2**64 - 1, np.uint64))),
+        (2**64, lambda: Epitome([0.0], [2**64])),
     ],
-    ids=["add", "bank_from_list", "bank_from_uint64"],
+    ids=["add", "bank_from_list", "bank_from_uint64", "epitome_from_python_ints"],
 )
 def test_counts_past_int64_raise_not_wrap(count, build):
     # an int64 cast would wrap these negative ("every summand count must be >= 1")
     with pytest.raises(CountOverflowError, match=str(count)):
         build()
+
+
+def test_python_int_counts_are_checked_like_int64():
+    # numpy holds a list with an int past 2**64 - 1 as dtype object
+    e = Epitome([0.0, 1.0], np.array([1, 2**62], dtype=object))
+    assert e.s.dtype == np.int64 and e.s.tolist() == [1, 2**62]
+    with pytest.raises(ValueError, match="every summand count must be >= 1"):
+        Epitome([0.0], [-(2**64)])
+    with pytest.raises(TypeError, match="counts must be integers, got dtype object"):
+        Epitome([0.0, 0.0], [2**64, 1.5])
+
+
+def test_add_past_float64_is_a_named_error():
+    with pytest.raises(ValueError, match="non-finite g value in epitome"):
+        add(Epitome([1e308], [1]), Epitome([1e308], [1]))
 
 
 # --- fuzziness and histograms ----------------------------------------------

@@ -4,6 +4,8 @@ import contextlib
 import io
 import os
 import struct
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -266,6 +268,37 @@ def test_model_blob_absolute_path_rejected(tmp_path):
 
 _HEAD = "ghne-model v1\n"
 _DIMS = "layer a\nfilters 1\nchannels 1\nkernel 2\n"
+
+
+def test_model_blob_is_sized_before_it_is_read(tmp_path):
+    # a sparse 1 TiB blob for 2 weights: reading it whole ended in MemoryError
+    with open(tmp_path / "w.f64", "wb") as f:
+        f.truncate(2**40)
+    msg = model_error(tmp_path, _HEAD + _DIMS + "weights blob w.f64\n")
+    path = tmp_path / "bad.ghnm"
+    assert msg == f"{path}:6: layer 'a': blob 'w.f64' holds {2**37} float64 values, expected 2"
+
+
+def test_model_blob_that_is_a_fifo_is_not_opened(tmp_path):
+    # opening a FIFO blocks until a writer comes, so the CLI runs in a
+    # child with a timeout: a loader that opened it fails the test, not hangs it
+    os.mkfifo(tmp_path / "w.f64")
+    path = tmp_path / "bad.ghnm"
+    path.write_text(_HEAD + _DIMS + "weights blob w.f64\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = tmp_path / "deep.ghne"
+    command = ["collapse", "--model", str(path), "--out", str(out)]
+    done = subprocess.run(
+        [sys.executable, "-m", "ghne.cli", *command],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert done.returncode == 2
+    assert done.stderr == f"error: {path}:6: layer 'a': weight blob 'w.f64' is not a regular file\n"
+    assert not out.exists()
 
 # every load_model error with its exact text; line None means no line number
 MODEL_ERRORS = {

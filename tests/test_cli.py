@@ -497,15 +497,13 @@ def test_render_a_span_just_inside_float64(tmp_path, capsys):
 
 
 def test_bench_gates_the_epitome_it_times(model_file, monkeypatch, capsys):
-    from ghne import cli
-
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return collapse(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "collapse", counted)
+    monkeypatch.setattr("ghne.cli.collapse", counted)
     monkeypatch.setattr(oracle, "collapse", counted)
     path, _ = model_file
     assert main(["bench", "--model", path, "--input-size", "8", "--reps", "1"]) == 0

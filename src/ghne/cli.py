@@ -34,11 +34,11 @@ from .epitome import mean_fuzziness
 _EXIT_OK = 0
 _EXIT_VERIFY = 1
 _EXIT_USAGE = 2
-# a negative decimal float literal, which argparse must read as a value, not an option
-_DIGITS = r"\d(?:_?\d)*"
-_NEGATIVE_NUMBER = re.compile(
-    rf"^-(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:[eE][+-]?{_DIGITS})?$"
-)
+# the least value of each numeric option; main checks them before any command runs
+_LEAST = {"tol": 0, "trials": 1, "reps": 1, "seed": 0, "input_size": 1}
+# a negative number in any float notation: argparse's own pattern has no exponent and
+# took the -1e-3 of "--tol -1e-3" for an option; no ghne option starts with "-" and a digit or "."
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
 def _layer_range(text: str):
@@ -132,10 +132,6 @@ def _verify_lines(seed, trials, tol, model_path, wide_weights):
 
 
 def cmd_verify(args) -> int:
-    if args.tol < 0:
-        raise ValueError("--tol must be >= 0")
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
     if args.model and args.wide_weights:
         raise ValueError("--wide-weights applies only to --random, not to --model")
     lines, ok = _verify_lines(args.seed, args.trials, args.tol, args.model, args.wide_weights)
@@ -167,8 +163,6 @@ def cmd_render(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.reps < 1:
-        raise ValueError("--reps must be >= 1")
     model = model_io.load_model(args.model)
     rank = model.layers[0].rank
     rng = np.random.default_rng(0)
@@ -320,8 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("stats", help="histogram + fuzziness CSV for an epitome file")
-    # argparse's own pattern has no exponent and takes the -1e-3 of "--range -1e-3 1" for an option
-    p._negative_number_matcher = _NEGATIVE_NUMBER
     p.add_argument("--epitome", required=True)
     p.add_argument("--bins", type=int, default=16)
     p.add_argument("--out", required=True, help="output CSV path")
@@ -356,12 +348,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_demo)
 
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for name, least in _LEAST.items():
+            # written so that a NaN fails too
+            if not getattr(args, name, least) >= least:
+                raise ValueError(f"--{name.replace('_', '-')} must be >= {least}")
         return args.func(args)
     except (model_io.FormatError, ValueError, OSError, MemoryError) as e:
         # a failed allocation may carry no message

@@ -260,16 +260,13 @@ def load_model(path) -> Model:
             pos += 1
         else:
             fail(lineno, f"layer {name!r}: expected 'weights inline' or 'weights blob <path>'")
-        rank = len(fields["kernel"])
         stride = fields.get("stride", (1,))
-        if len(stride) == 1:
-            stride = stride * rank
-        if len(stride) != rank:
-            fail(lineno, f"layer {name!r}: stride rank {len(stride)} != kernel rank {rank}")
+        if len(stride) == 1:  # one value holds on every axis; LayerSpec checks the rest
+            stride = stride[0]
         try:
             layers.append(LayerSpec(name, weights.reshape(shape), stride))
         except ValueError as e:
-            raise ModelFormatError(f"{path}: {e}") from e
+            fail(lineno, e)
 
     if not layers:
         raise ModelFormatError(f"{path}: model declares no layers")

@@ -235,7 +235,7 @@ def check_equivalence(
     model: Model, input_bank: Bank, tol: float = 1e-9, fill: str = "replicate"
 ) -> EquivalenceReport:
     """Layered evaluation vs one-step application of the collapsed model."""
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError(f"tolerance must be non-negative, got {tol}")
     reference = layered_forward(model, input_bank, fill)
     candidate = apply(input_bank, collapse(model, fill=fill), crop="full")

@@ -275,8 +275,10 @@ def test_verify_zero_tol_reports_fp_failures(capsys):
     assert ": FAIL" in capsys.readouterr().out
 
 
-def test_verify_negative_tol_is_usage_error(capsys):
-    assert main(["verify", "--random", "--tol", "-1"]) == 2
+@pytest.mark.parametrize("tol", ["-1", "-1e-3", "nan"])
+def test_verify_negative_tol_is_usage_error(capsys, tol):
+    # argparse took "-1e-3" for an option; a NaN passed "tol < 0" and failed every suite
+    assert main(["verify", "--random", "--tol", tol]) == 2
     assert capsys.readouterr().err == "error: --tol must be >= 0\n"
 
 
@@ -285,6 +287,21 @@ def test_verify_without_trials_is_usage_error(capsys, trials):
     # every suite passed with entries=0 (or -3): a check that checked nothing
     assert main(["verify", "--random", "--trials", trials]) == 2
     assert capsys.readouterr() == ("", "error: --trials must be >= 1\n")
+
+
+def test_verify_reports_the_first_bad_option(capsys):
+    assert main(["verify", "--random", "--tol", "-1", "--trials", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: --tol must be >= 0\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "demo"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    # numpy's "expected non-negative integer" named neither the option nor the value
+    out = tmp_path / "demo"
+    flags = ["--random"] if command == "verify" else ["--out", str(out)]
+    assert main([command, *flags, "--seed", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: --seed must be >= 0\n")
+    assert not out.exists()
 
 
 def test_verify_wide_weights_with_a_model_is_usage_error(model_file, capsys):
@@ -351,6 +368,18 @@ def test_stats_range_takes_negative_bounds_with_exponents(model_file, tmp_path, 
     with open(out) as f:
         first = f.read().splitlines()[1]
     assert first.split(",")[2:4] == [repr(float(lo)), repr(float(hi))]
+
+
+def test_stats_range_malformed_negative_bound(tmp_path, capsys):
+    # read as a value, not as an option, so argparse names the bad number
+    out = tmp_path / "stats.csv"
+    argv = ["stats", "--epitome", str(tmp_path / "e.ghne"), "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--range", "-1x", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "ghne stats: error: argument --range: invalid float value: '-1x'"
+    assert not out.exists()
 
 
 def test_stats_bad_bins(model_file, tmp_path, capsys):
@@ -511,10 +540,14 @@ def test_bench_gates_the_epitome_it_times(model_file, monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_bench_rejects_zero_reps(model_file, capsys):
+# Bank and numpy rejected the input sizes with messages that named no option
+@pytest.mark.parametrize(
+    "option, value", [("--reps", "0"), ("--input-size", "0"), ("--input-size", "-3")]
+)
+def test_bench_rejects_zero_reps(model_file, capsys, option, value):
     path, _ = model_file
-    assert main(["bench", "--model", path, "--input-size", "8", "--reps", "0"]) == 2
-    assert capsys.readouterr().err == "error: --reps must be >= 1\n"
+    assert main(["bench", "--model", path, "--input-size", "8", option, value]) == 2
+    assert capsys.readouterr().err == f"error: {option} must be >= 1\n"
 
 
 # --- demo ---------------------------------------------------------------------------

@@ -414,7 +414,7 @@ MODEL_ERRORS = {
         _HEAD + "layer a\nfilters 1\nchannels 1\nkernel 2 2\nstride 2 2 2\n"
         "weights inline\n1 0\n0 1\n",
         7,
-        "layer 'a': stride rank 3 != kernel rank 2",
+        "layer 'a': stride has 3 entries for 2 spatial axes",
     ),
     "blob_absolute": (
         _HEAD + _DIMS + "weights blob /abs/w.f64\n",
@@ -427,7 +427,7 @@ MODEL_ERRORS = {
         "layer 'a': blob 'short.f64' holds 1 float64 values, expected 2",
     ),
     "nonfinite_weight": (
-        _HEAD + _DIMS + "weights inline\n0.5 inf\n", None, "layer 'a': non-finite weight"
+        _HEAD + _DIMS + "weights inline\n0.5 inf\n", 6, "layer 'a': non-finite weight"
     ),
     "chain_break": (
         _HEAD + "layer one\nfilters 2\nchannels 1\nkernel 1\nweights inline\n0.5 0.5\n"

@@ -336,12 +336,13 @@ def test_collapse_precision_on_deep_stacks(rank, depth, extent, weight_range, to
         assert report.passed, report
 
 
-def test_check_equivalence_rejects_negative_tol():
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+def test_check_equivalence_rejects_negative_tol(tol):
     rng = np.random.default_rng(12)
     layer = LayerSpec("only", rng.uniform(0, 1, (1, 1, 2)), 1)
     x = random_input(rng, 1, (4,))
-    with pytest.raises(ValueError):
-        check_equivalence(Model([layer]), x, tol=-1.0)
+    with pytest.raises(ValueError, match="tolerance must be non-negative"):
+        check_equivalence(Model([layer]), x, tol=tol)
 
 
 def test_equivalence_report_passed_invariant():

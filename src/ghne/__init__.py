@@ -22,7 +22,6 @@ from .banks import (
     crop_bank,
     effective_shape,
     layer_to_bank,
-    resize_strided,
 )
 from .epitome import (
     CountOverflowError,
@@ -67,7 +66,6 @@ __all__ = [
     "crop_bank",
     "effective_shape",
     "layer_to_bank",
-    "resize_strided",
     "CountOverflowError",
     "Epitome",
     "Histogram",

@@ -19,6 +19,7 @@ stride-2 kernel becomes 10x10 and all the stride-1 shape arithmetic
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,6 @@ __all__ = [
     "DeepEpitome",
     "MemberStats",
     "StatsReport",
-    "resize_strided",
     "layer_to_bank",
     "composite_convolve",
     "effective_shape",
@@ -44,6 +44,7 @@ __all__ = [
 
 _STRIDE_FILLS = ("replicate", "fuzzy")
 _CROP_MODES = ("full", "same", "valid")
+_LAYER_NAME = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 class Bank(_PairGrid):
@@ -85,14 +86,15 @@ class LayerSpec:
     """One GHN convolution layer: dense weights plus a per-axis stride.
 
     Weights are indexed [filter][channel][spatial...]; stride applies to
-    the spatial axes only.
+    the spatial axes only.  The name uses only letters, digits, '_', '.'
+    and '-', so a model file can hold it.
     """
 
     __slots__ = ("name", "weights", "stride")
 
     def __init__(self, name, weights, stride=1):
-        if not name:
-            raise ValueError("layer needs a non-empty name")
+        if not isinstance(name, str) or not _LAYER_NAME.fullmatch(name):
+            raise ValueError(f"layer name {name!r}: use only letters, digits, '_', '.', '-'")
         weights = np.array(weights, dtype=np.float64)
         if weights.ndim < 3:
             raise ValueError(
@@ -103,11 +105,11 @@ class LayerSpec:
         if not np.all(np.isfinite(weights)):
             raise ValueError(f"layer '{name}': non-finite weight")
         try:
-            stride = _stride_tuple(stride, weights.ndim - 2, "spatial axes")
+            stride = _stride_tuple(stride, weights.ndim - 2)
         except ValueError as e:
             raise ValueError(f"layer '{name}': {e}") from None
         weights.setflags(write=False)
-        self.name = str(name)
+        self.name = name
         self.weights = weights
         self.stride = stride
 
@@ -139,7 +141,7 @@ class LayerSpec:
 
 
 class Model:
-    """An ordered chain of layers with matching filter/channel counts."""
+    """An ordered chain of uniquely named layers with matching filter/channel counts."""
 
     __slots__ = ("layers",)
 
@@ -147,6 +149,11 @@ class Model:
         layers = tuple(layers)
         if not layers:
             raise ValueError("model needs at least one layer")
+        names = set()
+        for layer in layers:
+            if layer.name in names:
+                raise ValueError(f"duplicate layer name {layer.name!r}")
+            names.add(layer.name)
         rank = layers[0].rank
         for prev, cur in zip(layers, layers[1:]):
             if cur.rank != rank:
@@ -193,49 +200,38 @@ class DeepEpitome:
             )
 
 
-def _stride_tuple(stride, rank: int, axes: str = "axes") -> tuple[int, ...]:
+def _stride_tuple(stride, rank: int) -> tuple[int, ...]:
     """A per-axis stride from an int or a sequence, each value >= 1."""
     if isinstance(stride, (int, np.integer)):
         stride = (int(stride),) * rank
     else:
         stride = tuple(int(v) for v in stride)
     if len(stride) != rank:
-        raise ValueError(f"stride has {len(stride)} entries for {rank} {axes}")
+        raise ValueError(f"stride has {len(stride)} entries for {rank} spatial axes")
     if any(v < 1 for v in stride):
         raise ValueError(f"stride must be >= 1 on every axis, got {stride}")
     return stride
 
 
-def resize_strided(kernel, stride, fill: str = "replicate") -> np.ndarray:
-    """Replace a stride-s kernel by its stride-1 equivalent, s times larger.
+def layer_to_bank(layer: LayerSpec, fill: str = "replicate") -> Bank:
+    """View a layer as a bank of normalized epitomes of its resized kernels.
 
+    Each stride-s kernel becomes its stride-1 equivalent, s times larger:
     fill="replicate" repeats each weight into an s-sized block per axis;
     fill="fuzzy" instead places each weight at its block's start and
-    pads the rest with the GHD-absorbing value 0.5.  Stride 1 returns
-    the kernel unchanged either way.
+    pads the rest with the GHD-absorbing value 0.5.  Stride 1 keeps the
+    weights either way.
     """
-    kernel = np.array(kernel, dtype=np.float64)
-    if kernel.ndim < 1 or kernel.size == 0:
-        raise ValueError("kernel must be a non-empty grid")
-    stride = _stride_tuple(stride, kernel.ndim)
     if fill not in _STRIDE_FILLS:
         raise ValueError(f"unknown stride fill {fill!r}, expected one of {_STRIDE_FILLS}")
-    if all(v == 1 for v in stride):
-        return kernel
+    g = layer.weights
     if fill == "replicate":
-        out = kernel
-        for axis, v in enumerate(stride):
+        for axis, v in enumerate(layer.stride, 2):
             if v > 1:
-                out = np.repeat(out, v, axis=axis)
-        return out
-    out = np.full(tuple(k * v for k, v in zip(kernel.shape, stride)), 0.5)
-    out[tuple(slice(None, None, v) for v in stride)] = kernel
-    return out
-
-
-def layer_to_bank(layer: LayerSpec, fill: str = "replicate") -> Bank:
-    """View a layer as a bank of normalized epitomes of its resized kernels."""
-    g = resize_strided(layer.weights, (1, 1) + layer.stride, fill)
+                g = np.repeat(g, v, axis=axis)
+    else:
+        g = np.full(g.shape[:2] + layer.resized_extents(), 0.5)
+        g[(Ellipsis,) + tuple(slice(None, None, v) for v in layer.stride)] = layer.weights
     return Bank(g, np.ones(g.shape, dtype=np.int64))
 
 

@@ -9,6 +9,7 @@ written atomically, so a failing run never leaves a partial file.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -357,9 +358,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         for name, least in _LEAST.items():
+            value, flag = getattr(args, name, least), "--" + name.replace("_", "-")
             # written so that a NaN fails too
-            if not getattr(args, name, least) >= least:
-                raise ValueError(f"--{name.replace('_', '-')} must be >= {least}")
+            if not value >= least:
+                raise ValueError(f"{flag} must be >= {least}")
+            # only --tol is a float, and an infinite tolerance passes any error
+            if value == math.inf:
+                raise ValueError(f"{flag} must be finite")
         return args.func(args)
     except (model_io.FormatError, ValueError, OSError, MemoryError) as e:
         # a failed allocation may carry no message

@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import re
 import stat
 import struct
 import tempfile
@@ -91,8 +90,8 @@ class ImageFormatError(FormatError):
 
 _MAGIC = b"GHNE"
 _VERSION = 1
+_MAX_RANK = 16  # the most spatial axes a GHNE file may declare
 _PAIR_DTYPE = np.dtype([("g", "<f8"), ("s", "<u8")])
-_NAME_RE = re.compile(r"[A-Za-z0-9_.-]+")
 _MODEL_HEADER = "ghne-model v1"
 _ONE_INT, _EXTENTS = "one positive integer", "positive integer extents"
 _FIELD_SYNTAX = {"filters": _ONE_INT, "channels": _ONE_INT, "kernel": _EXTENTS, "stride": _EXTENTS}
@@ -276,18 +275,8 @@ def load_model(path) -> Model:
         raise ModelFormatError(f"{path}: {e}") from e
 
 
-def save_model(model: Model, path, weights_mode: str = "inline"):
-    """Write a model file; 'blob' mode puts weights in sibling .f64 files."""
-    if weights_mode not in ("inline", "blob"):
-        raise ValueError(f"unknown weights mode {weights_mode!r}")
-    path = os.fspath(path)
-    for layer in model.layers:
-        if not _NAME_RE.fullmatch(layer.name):
-            raise ValueError(
-                f"layer name {layer.name!r} not writable: use only letters, "
-                f"digits, '_', '.', '-'"
-            )
-    stem = os.path.splitext(os.path.basename(path))[0]
+def save_model(model: Model, path):
+    """Write a model file with inline weights, atomically."""
     lines = [_MODEL_HEADER]
     for layer in model.layers:
         lines.append(f"layer {layer.name}")
@@ -295,19 +284,11 @@ def save_model(model: Model, path, weights_mode: str = "inline"):
         lines.append(f"channels {layer.in_channels}")
         lines.append("kernel " + " ".join(str(e) for e in layer.kernel_shape))
         lines.append("stride " + " ".join(str(v) for v in layer.stride))
+        lines.append("weights inline")
         flat = layer.weights.ravel()
-        if weights_mode == "inline":
-            lines.append("weights inline")
-            row = layer.kernel_shape[-1]
-            for start in range(0, flat.size, row):
-                lines.append(" ".join(_fmt(v) for v in flat[start : start + row]))
-        else:
-            blob_name = f"{stem}.{layer.name}.f64"
-            _atomic_write(
-                os.path.join(os.path.dirname(path) or ".", blob_name),
-                flat.astype("<f8").tobytes(),
-            )
-            lines.append(f"weights blob {blob_name}")
+        row = layer.kernel_shape[-1]
+        for start in range(0, flat.size, row):
+            lines.append(" ".join(_fmt(v) for v in flat[start : start + row]))
     write_text(path, "\n".join(lines) + "\n")
 
 
@@ -319,6 +300,8 @@ def save_epitome(bank, path):
     """Write a Bank (or a DeepEpitome's bank) as a GHNE file, atomically."""
     if isinstance(bank, DeepEpitome):
         bank = bank.bank
+    if bank.rank > _MAX_RANK:
+        raise ValueError(f"bank rank {bank.rank}: a GHNE file holds at most {_MAX_RANK} axes")
     header = struct.pack("<4sIIII", _MAGIC, _VERSION, bank.m, bank.c, bank.rank)
     header += struct.pack(f"<{bank.rank}I", *bank.spatial_shape)
     entries = np.empty(bank.g.shape, dtype=_PAIR_DTYPE)
@@ -344,7 +327,7 @@ def load_epitome(path) -> Bank:
             raise VersionError(f"unsupported format version {version}, expected {_VERSION}")
         if m < 1 or c < 1 or rank < 1:
             raise EpitomeFormatError(f"bad dimensions m={m} c={c} rank={rank}")
-        if rank > 16:
+        if rank > _MAX_RANK:
             raise EpitomeFormatError(f"implausible rank {rank}")
         ext_bytes = _read_declared(f, 4 * rank, TruncatedError, "file ends inside the extent list")
         extents = struct.unpack(f"<{rank}I", ext_bytes)

@@ -235,8 +235,9 @@ def check_equivalence(
     model: Model, input_bank: Bank, tol: float = 1e-9, fill: str = "replicate"
 ) -> EquivalenceReport:
     """Layered evaluation vs one-step application of the collapsed model."""
-    if not tol >= 0:
-        raise ValueError(f"tolerance must be non-negative, got {tol}")
+    # written so that a NaN fails too; an infinite tolerance would check counts only
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be non-negative and finite, got {tol}")
     reference = layered_forward(model, input_bank, fill)
     candidate = apply(input_bank, collapse(model, fill=fill), crop="full")
     return compare_banks(reference, candidate, tol)
@@ -289,15 +290,15 @@ def random_model(
     max_channels=4,
     max_kernel=5,
     strides=(1, 2),
-    rank=2,
     weight_range=(0.0, 1.0),
 ) -> Model:
+    """A chain of 1..max_layers random 2-D layers named conv1, conv2, ..."""
     n_layers = int(rng.integers(1, max_layers + 1))
     widths = [int(rng.integers(1, max_channels + 1)) for _ in range(n_layers + 1)]
     layers = []
     for i in range(n_layers):
-        kernel = tuple(int(rng.integers(1, max_kernel + 1)) for _ in range(rank))
-        stride = tuple(int(rng.choice(strides)) for _ in range(rank))
+        kernel = tuple(int(rng.integers(1, max_kernel + 1)) for _ in range(2))
+        stride = tuple(int(rng.choice(strides)) for _ in range(2))
         w = rng.uniform(
             weight_range[0], weight_range[1], size=(widths[i + 1], widths[i]) + kernel
         )

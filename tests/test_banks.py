@@ -20,7 +20,6 @@ from ghne import (
     effective_shape,
     epitome,
     layer_to_bank,
-    resize_strided,
 )
 from ghne.oracle import (
     compare_banks,
@@ -125,20 +124,26 @@ def test_reprs():
 # --- stride resizing --------------------------------------------------------
 
 
+def resize_kernel(kernel, stride, fill="replicate"):
+    # one kernel through layer_to_bank, as a one-filter one-channel layer
+    kernel = np.array(kernel, dtype=np.float64)[np.newaxis, np.newaxis]
+    return layer_to_bank(LayerSpec("k", kernel, stride), fill).g[0, 0]
+
+
 def test_resize_stride_one_is_identity():
     k = np.array([[0.1, 0.2], [0.3, 0.4]])
-    out = resize_strided(k, 1)
+    out = resize_kernel(k, 1)
     assert np.array_equal(out, k)
 
 
 def test_resize_replicate_1d():
-    out = resize_strided([0.2, 0.8], 2)
+    out = resize_kernel([0.2, 0.8], 2)
     assert np.array_equal(out, [0.2, 0.2, 0.8, 0.8])
 
 
 def test_resize_replicate_2d_extents():
     k = np.arange(25, dtype=float).reshape(5, 5) / 25.0
-    out = resize_strided(k, 2)
+    out = resize_kernel(k, 2)
     assert out.shape == (10, 10)
     # each weight becomes a 2x2 constant block
     for i in range(5):
@@ -147,32 +152,32 @@ def test_resize_replicate_2d_extents():
 
 
 def test_resize_fuzzy_1d():
-    out = resize_strided([0.2, 0.8], 2, fill="fuzzy")
+    out = resize_kernel([0.2, 0.8], 2, fill="fuzzy")
     assert np.array_equal(out, [0.2, 0.5, 0.8, 0.5])
 
 
 def test_resize_fuzzy_2d_block_starts():
     k = np.array([[0.1, 0.9]])
-    out = resize_strided(k, (1, 3), fill="fuzzy")
+    out = resize_kernel(k, (1, 3), fill="fuzzy")
     assert np.array_equal(out, [[0.1, 0.5, 0.5, 0.9, 0.5, 0.5]])
 
 
 def test_resize_mixed_axes():
     k = np.array([[0.1, 0.2], [0.3, 0.4]])
-    out = resize_strided(k, (1, 2))
+    out = resize_kernel(k, (1, 2))
     assert out.shape == (2, 4)
     assert np.array_equal(out, [[0.1, 0.1, 0.2, 0.2], [0.3, 0.3, 0.4, 0.4]])
 
 
 def test_resize_validation():
+    with pytest.raises(ValueError, match="unknown stride fill 'nearest'"):
+        resize_kernel([0.1], 2, fill="nearest")
     with pytest.raises(ValueError):
-        resize_strided([0.1], 2, fill="nearest")
+        resize_kernel([[0.1, 0.2]], (2,))
     with pytest.raises(ValueError):
-        resize_strided([[0.1, 0.2]], (2,))
+        resize_kernel([0.1, 0.2], 0)
     with pytest.raises(ValueError):
-        resize_strided([0.1, 0.2], 0)
-    with pytest.raises(ValueError):
-        resize_strided([], 1)
+        resize_kernel([], 1)
 
 
 # --- layer_to_bank ----------------------------------------------------------
@@ -195,7 +200,7 @@ def test_layer_to_bank_matches_per_kernel_resize():
         b = layer_to_bank(layer, fill)
         for i in range(2):
             for j in range(3):
-                assert np.array_equal(b.g[i, j], resize_strided(w[i, j], (2, 3), fill))
+                assert np.array_equal(b.g[i, j], resize_kernel(w[i, j], (2, 3), fill))
 
 
 def test_layer_to_bank_stride_one_keeps_weights():
@@ -219,7 +224,7 @@ def test_layer_errors_name_the_layer():
 @pytest.mark.parametrize(
     "name, weights, message",
     [
-        ("", np.zeros((1, 1, 3)), "layer needs a non-empty name"),
+        ("", np.zeros((1, 1, 3)), "layer name '': use only letters, digits, '_', '.', '-'"),
         ("a", np.zeros((0, 1, 3)), "layer 'a': empty weight grid"),
         ("a", np.zeros((1, 1, 0, 2)), "layer 'a': empty weight grid"),
     ],
@@ -236,6 +241,14 @@ def test_model_chain_error_names_both_layers():
     with pytest.raises(ValueError) as exc:
         Model([a, b])
     assert "first" in str(exc.value) and "second" in str(exc.value)
+
+
+def test_model_rejects_duplicate_names():
+    # such a model saved to a file that load_model then rejected
+    w = np.zeros((1, 1, 3))
+    with pytest.raises(ValueError) as exc:
+        Model([LayerSpec("a", w), LayerSpec("b", w), LayerSpec("a", w)])
+    assert str(exc.value) == "duplicate layer name 'a'"
 
 
 def test_model_needs_a_layer():

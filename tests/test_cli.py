@@ -275,11 +275,13 @@ def test_verify_zero_tol_reports_fp_failures(capsys):
     assert ": FAIL" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("tol", ["-1", "-1e-3", "nan"])
+@pytest.mark.parametrize("tol", ["-1", "-1e-3", "nan", "inf"])
 def test_verify_negative_tol_is_usage_error(capsys, tol):
-    # argparse took "-1e-3" for an option; a NaN passed "tol < 0" and failed every suite
+    # argparse took "-1e-3" for an option; a NaN passed "tol < 0" and failed every suite;
+    # an infinite tolerance passed every suite whatever the error
     assert main(["verify", "--random", "--tol", tol]) == 2
-    assert capsys.readouterr().err == "error: --tol must be >= 0\n"
+    rule = "finite" if tol == "inf" else ">= 0"
+    assert capsys.readouterr() == ("", f"error: --tol must be {rule}\n")
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

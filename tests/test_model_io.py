@@ -76,10 +76,21 @@ def test_model_round_trip_inline(tmp_path):
 def test_model_round_trip_blob(tmp_path):
     model = two_layer_model()
     path = tmp_path / "net.ghnm"
-    save_model(model, path, weights_mode="blob")
-    assert (tmp_path / "net.conv1.f64").exists()
-    assert (tmp_path / "net.conv2.f64").exists()
+    lines = ["ghne-model v1"]
+    for layer in model.layers:
+        blob = f"net.{layer.name}.f64"
+        (tmp_path / blob).write_bytes(layer.weights.astype("<f8").tobytes())
+        lines += [
+            f"layer {layer.name}",
+            f"filters {layer.out_filters}",
+            f"channels {layer.in_channels}",
+            "kernel " + " ".join(map(str, layer.kernel_shape)),
+            "stride " + " ".join(map(str, layer.stride)),
+            f"weights blob {blob}",
+        ]
+    path.write_text("\n".join(lines) + "\n")
     loaded = load_model(path)
+    assert same_model(loaded, model)
     # blob floats are raw, so bitwise equality must hold
     for la, lb in zip(loaded.layers, model.layers):
         assert la.weights.tobytes() == lb.weights.tobytes()
@@ -426,6 +437,12 @@ MODEL_ERRORS = {
         6,
         "layer 'a': blob 'short.f64' holds 1 float64 values, expected 2",
     ),
+    # it loaded and collapsed, but save_model refused to write it back
+    "bad_layer_name": (
+        _HEAD + "layer a/b\n" + _DIMS[8:] + "weights inline\n0 1\n",
+        6,
+        "layer name 'a/b': use only letters, digits, '_', '.', '-'",
+    ),
     "nonfinite_weight": (
         _HEAD + _DIMS + "weights inline\n0.5 inf\n", 6, "layer 'a': non-finite weight"
     ),
@@ -465,15 +482,11 @@ def test_model_not_utf8_names_file_and_line(tmp_path, body, line, message):
     assert str(exc.value) == f"{path}:{line}: not UTF-8 text: {message}"
 
 
-def test_save_model_rejects_unwritable_name(tmp_path):
-    model = Model([LayerSpec("has space", np.zeros((1, 1, 1)), 1)])
-    with pytest.raises(ValueError, match="has space"):
-        save_model(model, tmp_path / "m.ghnm")
-
-
-def test_save_model_rejects_unknown_mode(tmp_path):
-    with pytest.raises(ValueError):
-        save_model(two_layer_model(), tmp_path / "m.ghnm", weights_mode="base64")
+def test_layer_rejects_unwritable_name():
+    # save_model raised "not writable" for a layer LayerSpec had accepted
+    with pytest.raises(ValueError) as exc:
+        LayerSpec("has space", np.zeros((1, 1, 1)), 1)
+    assert str(exc.value) == "layer name 'has space': use only letters, digits, '_', '.', '-'"
 
 
 # --- GHNE binary format ------------------------------------------------------
@@ -573,6 +586,19 @@ def test_load_rejects_implausible_rank(tmp_path):
     p.write_bytes(b"GHNE" + struct.pack("<IIII", 1, 1, 1, 17))
     with pytest.raises(EpitomeFormatError):
         load_epitome(p)
+
+
+def test_save_epitome_writes_only_loadable_ranks(tmp_path):
+    # a rank-17 bank saved, and load_epitome then raised "implausible rank 17"
+    def bank(rank):
+        shape = (1, 1) + (1,) * rank
+        return Bank(np.full(shape, 0.5), np.ones(shape, dtype=np.int64))
+
+    save_epitome(bank(16), tmp_path / "16.ghne")
+    assert load_epitome(tmp_path / "16.ghne") == bank(16)
+    with pytest.raises(ValueError, match="^bank rank 17: a GHNE file holds at most 16 axes$"):
+        save_epitome(bank(17), tmp_path / "17.ghne")
+    assert os.listdir(tmp_path) == ["16.ghne"]
 
 
 def test_load_rejects_zero_count_entry(tmp_path):
@@ -842,7 +868,7 @@ def test_write_text(tmp_path):
 
 def test_writes_leave_no_temp_files(tmp_path):
     model = two_layer_model()
-    save_model(model, tmp_path / "m.ghnm", weights_mode="blob")
+    save_model(model, tmp_path / "m.ghnm")
     save_epitome(collapse(model), tmp_path / "d.ghne")
     write_text(tmp_path / "t.txt", "x")
     leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".ghne-tmp-")]

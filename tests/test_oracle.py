@@ -336,7 +336,7 @@ def test_collapse_precision_on_deep_stacks(rank, depth, extent, weight_range, to
         assert report.passed, report
 
 
-@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
 def test_check_equivalence_rejects_negative_tol(tol):
     rng = np.random.default_rng(12)
     layer = LayerSpec("only", rng.uniform(0, 1, (1, 1, 2)), 1)

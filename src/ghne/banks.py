@@ -24,7 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epitome import Epitome, Histogram, _PairGrid, bank_convolve, histogram, mean_fuzziness
+from .epitome import (
+    Epitome,
+    Histogram,
+    _PairGrid,
+    _shared_counts,
+    bank_convolve,
+    histogram,
+    mean_fuzziness,
+)
 
 __all__ = [
     "Bank",
@@ -52,12 +60,26 @@ class Bank(_PairGrid):
 
     g and s have shape (m, c, *spatial); member (i, j) is the epitome
     g[i, j], s[i, j].  Immutable after construction.
+
+    Counts that every member shares, as those of normalized layers and
+    inputs and of every convolution of them do, are stored once: s is
+    then one read-only int64 grid broadcast to (m, c, *spatial), which
+    bank_convolve contracts once instead of m * c times.  Counts given
+    as such a broadcast (or with m = c = 1) are taken as shared from
+    their strides; dense counts are compared once, here.
     """
 
     __slots__ = ()
     _NAME = "bank"
     _MIN_RANK = 3
     _RANK_ERROR = "bank arrays must be (m, c, *spatial) with rank >= 3, got rank {}"
+
+    @staticmethod
+    def _distinct_counts(s):
+        grid = _shared_counts(s)
+        if grid is None and np.all(s == s[:1, :1]):
+            grid = s[:1, :1]
+        return s if grid is None else grid
 
     @property
     def m(self) -> int:
@@ -235,13 +257,15 @@ def layer_to_bank(layer: LayerSpec, fill: str = "replicate") -> Bank:
     return Bank(g, np.ones(g.shape, dtype=np.int64))
 
 
-def composite_convolve(a: Bank, b: Bank) -> Bank:
+def composite_convolve(a: Bank, b: Bank, window=None) -> Bank:
     """Bank-level convolution contracting a's filters against b's channels.
 
     Requires a.m == b.c.  Output member (i, j) for filter i of b and
     channel j of a is the entrywise epitome sum over k = 0..a.m-1 of
     convolve(a[k, j], b[i, k]), so the result has m = b.m, c = a.c, and
     the full-convolution spatial shape, all from one bank_convolve call.
+    window, one slice per spatial axis of that full shape, computes only
+    the entries it selects; None computes them all.
     """
     if a.rank != b.rank:
         raise ValueError(f"spatial rank mismatch: {a.rank} vs {b.rank}")
@@ -250,7 +274,7 @@ def composite_convolve(a: Bank, b: Bank) -> Bank:
             f"bank mismatch: left bank has m={a.m} epitomes but "
             f"right bank expects c={b.c} channels"
         )
-    return Bank(*bank_convolve(a.g, a.s, b.g, b.s))
+    return Bank(*bank_convolve(a.g, a.s, b.g, b.s, window))
 
 
 def effective_shape(layers) -> tuple[int, ...]:
@@ -302,7 +326,7 @@ def apply(input_bank: Bank, deep, crop: str = "full") -> Bank:
     has not been through any convolution yet.  The full result has
     m = deep.bank.m and c = input.c; crop "same" center-crops to the
     input's spatial shape and "valid" keeps only fully overlapped
-    entries.
+    entries.  Only the entries kept are computed.
     """
     deep_bank = deep.bank if isinstance(deep, DeepEpitome) else deep
     if not input_bank.is_normalized:
@@ -312,44 +336,53 @@ def apply(input_bank: Bank, deep, crop: str = "full") -> Bank:
             f"pairing mismatch: input provides m={input_bank.m} epitomes but "
             f"the deep epitome expects c={deep_bank.c} channels"
         )
-    out = composite_convolve(input_bank, deep_bank)
-    target = input_bank.spatial_shape
-    if crop == "valid":
-        target = tuple(
-            n - d + 1 for n, d in zip(input_bank.spatial_shape, deep_bank.spatial_shape)
-        )
-        if any(t < 1 for t in target):
-            raise ValueError(
-                f"valid crop is empty: input {input_bank.spatial_shape} is smaller "
-                f"than the deep epitome {deep_bank.spatial_shape}"
-            )
+    # checked here too, or the crop would report the ranks as its own mismatch
+    if input_bank.rank != deep_bank.rank:
+        raise ValueError(f"spatial rank mismatch: {input_bank.rank} vs {deep_bank.rank}")
+    pairs = list(zip(input_bank.spatial_shape, deep_bank.spatial_shape))
+    target = tuple(n - d + 1 for n, d in pairs) if crop == "valid" else input_bank.spatial_shape
+    window = _crop_window(tuple(n + d - 1 for n, d in pairs), target, crop)
+    out = composite_convolve(input_bank, deep_bank, window)
     return crop_bank(out, target, crop)
 
 
 def crop_bank(bank: Bank, target, mode: str = "same") -> Bank:
     """Center-crop every member to the target spatial shape.
 
-    Mode "full" is the identity.  When a margin is odd, the extra entry
-    is dropped from the high-index side.
+    Mode "full" is the identity, and so is a target equal to the bank's
+    shape: both return the bank itself.  When a margin is odd, the extra
+    entry is dropped from the high-index side.
+    """
+    window = _crop_window(bank.spatial_shape, target, mode)
+    if window is None:
+        return bank
+    index = (slice(None), slice(None)) + window
+    return Bank(bank.g[index], bank.s[index])
+
+
+def _crop_window(source, target, mode):
+    """The slices of a center crop of spatial shape source to target, or None.
+
+    None means nothing is cropped away: mode "full", or a target equal
+    to source.  When a margin is odd, the extra entry is dropped from
+    the high-index side.  An unknown mode, a target of another rank, an
+    empty target (as a "valid" crop of an input smaller than the deep
+    epitome asks for) and one larger than source raise ValueError.
     """
     if mode not in _CROP_MODES:
         raise ValueError(f"unknown crop mode {mode!r}, expected one of {_CROP_MODES}")
     if mode == "full":
-        return bank
+        return None
     target = tuple(int(t) for t in target)
-    if len(target) != bank.rank:
-        raise ValueError(f"target rank {len(target)} != bank spatial rank {bank.rank}")
-    for src, tgt in zip(bank.spatial_shape, target):
-        if tgt < 1:
-            raise ValueError(f"crop target must be positive, got {target}")
-        if tgt > src:
-            raise ValueError(f"crop target {target} exceeds source shape {bank.spatial_shape}")
-    slices = tuple(
-        slice((src - tgt) // 2, (src - tgt) // 2 + tgt)
-        for src, tgt in zip(bank.spatial_shape, target)
-    )
-    index = (slice(None), slice(None)) + slices
-    return Bank(bank.g[index], bank.s[index])
+    if len(target) != len(source):
+        raise ValueError(f"target rank {len(target)} != bank spatial rank {len(source)}")
+    if any(t < 1 for t in target):
+        raise ValueError(f"{mode} crop is empty: target {target} from source shape {tuple(source)}")
+    if any(t > n for n, t in zip(source, target)):
+        raise ValueError(f"crop target {target} exceeds source shape {tuple(source)}")
+    if target == tuple(source):
+        return None
+    return tuple(slice((n - t) // 2, (n - t) // 2 + t) for n, t in zip(source, target))
 
 
 @dataclass(frozen=True, eq=False)

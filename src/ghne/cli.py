@@ -28,6 +28,7 @@ from .banks import (
     bank_stats,
     collapse,
     composite_convolve,
+    crop_bank,
     layer_to_bank,
 )
 from .epitome import mean_fuzziness
@@ -175,9 +176,12 @@ def cmd_bench(args) -> int:
     deep = collapse(model)
     collapse_seconds = time.perf_counter() - t0
 
-    # gate the timed epitome itself, the way oracle.check_equivalence gates a fresh one
+    # gate the timed epitome and crop themselves, the way oracle.check_equivalence
+    # gates a fresh epitome uncropped
+    candidate = apply(input_bank, deep, args.crop)
     reference = oracle.layered_forward(model, input_bank)
-    report = oracle.compare_banks(reference, apply(input_bank, deep, crop="full"), 1e-9)
+    reference = crop_bank(reference, candidate.spatial_shape, args.crop)
+    report = oracle.compare_banks(reference, candidate, 1e-9)
     if not report.passed:
         print(
             "error: layered and one-step outputs disagree, refusing to report timings\n"
@@ -198,7 +202,7 @@ def cmd_bench(args) -> int:
         rows.append(("layered", rep, time.perf_counter() - t0))
     for rep in range(1, args.reps + 1):
         t0 = time.perf_counter()
-        apply(input_bank, deep, crop="full")
+        apply(input_bank, deep, args.crop)
         rows.append(("one_step", rep, time.perf_counter() - t0))
     print("mode,rep,seconds")
     for mode, rep, seconds in rows:
@@ -342,6 +346,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--input-size", type=int, required=True, metavar="N", help="square input extent")
     p.add_argument("--reps", type=int, default=10)
+    p.add_argument(
+        "--crop", choices=_CROP_MODES, default="full", help="crop of the gated and timed one step"
+    )
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("demo", help="synthesize a model and run the whole pipeline")

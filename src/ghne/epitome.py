@@ -68,7 +68,9 @@ class _PairGrid:
 
     The shared core of Epitome and Bank.  A subclass sets _NAME for its
     messages, _MIN_RANK, and _RANK_ERROR, the message for a lower rank
-    (formatted with the rank found).
+    (formatted with the rank found).  It may override _distinct_counts
+    to keep repeated counts once: s is then a read-only broadcast of
+    what that returns.
     """
 
     __slots__ = ("g", "s")
@@ -91,6 +93,7 @@ class _PairGrid:
             raise ValueError(f"{self._NAME} must have at least one entry per axis")
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite g value in {self._NAME}")
+        s = self._distinct_counts(s)
         # checked before the int64 copy, which a Python int below -2**63 overflows
         if np.any(s < 1):
             raise ValueError("every summand count must be >= 1")
@@ -99,7 +102,13 @@ class _PairGrid:
         g.setflags(write=False)
         s.setflags(write=False)
         self.g = g
-        self.s = s
+        # shared counts stay one grid; the read-only broadcast copies nothing
+        self.s = s if s.shape == g.shape else np.broadcast_to(s, g.shape)
+
+    @staticmethod
+    def _distinct_counts(s):
+        """The part of the counts s that holds each distinct one: here all of s."""
+        return s
 
     @property
     def is_normalized(self) -> bool:
@@ -186,31 +195,35 @@ def merged_pair(gn, sn, gm, sm):
 # a g past float64's range becomes inf or nan without a numpy warning, and
 # the non-finite check of the Bank or Epitome built from it names the failure
 @np.errstate(over="ignore", invalid="ignore")
-def bank_convolve(ga, sa, gb, sb):
-    """Full hamming convolution of two banks given as arrays.
+def bank_convolve(ga, sa, gb, sb, window=None):
+    """Hamming convolution of two banks given as arrays, over an output window.
 
     a = (ga, sa) has shape (k, c, *A) and b = (gb, sb) shape (m, k, *B),
     with float64 g and int64 s, as held by Bank and Epitome.
     Output member (i, j) is the entrywise epitome sum over k of the full
-    convolution of a[k, j] with b[i, k], so the result (g, s) has shape
-    (m, c, *(A + B - 1)).  Both parts are the same contraction: with
-    T = s - 2g,
+    convolution of a[k, j] with b[i, k], whose spatial shape is A + B - 1.
+    window, one slice per spatial axis in those full-output coordinates
+    (None for all of it), selects the entries computed and returned, so
+    the result (g, s) has shape (m, c, *window extents).  Both parts are
+    the same contraction: with T = s - 2g,
 
         T_out = sum_k conv(T_a[k, j], T_b[i, k])
         s_out = sum_k conv(s_a[k, j], s_b[i, k])    (exact)
         g_out = (s_out - T_out) / 2
 
     Each contraction is one windowed matrix product (im2col): a is
-    zero-padded by B_i - 1 on both ends of each axis, the |B| padded
-    entries under every output position are gathered next to it, and
-    a matmul against the spatially flipped b, an m x (k * |B|) matrix,
-    turns the whole convolution into BLAS products.  The gathered copy
-    holds k * c * |B| entries per output position, so a is windowed when
-    c * |B| <= m * |A|, and otherwise the roles swap (convolution
-    commutes).  The output is produced in chunks of whole rows of its
-    first spatial axis, each gathering at most _IM2COL_ENTRIES entries
-    (or one row, if a row alone holds more), which bounds the memory of
-    a large apply.
+    zero-padded by B_i - 1 on both ends of each axis and sliced to the
+    window plus B_i - 1, so output position p reads padded[p : p + B].
+    The |B| padded entries under every output position are gathered
+    next to it, and a matmul against the spatially flipped b, an
+    m x (k * |B|) matrix, turns the whole convolution into BLAS
+    products.  The gathered copy holds k * c * |B| entries per output
+    position, so a is windowed when c * |B| <= m * |A|, and otherwise
+    the roles swap (convolution commutes; the window, in output
+    coordinates, is the same either way).  The output is produced in
+    chunks of whole rows of its first spatial axis, each gathering at
+    most _IM2COL_ENTRIES entries (or one row, if a row alone holds
+    more), which bounds the memory of a large apply.
 
     The matmul is batched: while a row's product is small, every output
     row is its own (k * |B|) x (c * |rest|) matrix product of at most
@@ -224,14 +237,22 @@ def bank_convolve(ga, sa, gb, sb):
     the threads speed up.  A call repeats bit for bit.  Per-row products
     do not depend on the chunk size; a chunk-wide product may round g
     differently in the last bits for a different chunk size, never the
-    counts.
+    counts.  A narrower window narrows each row's product, which may
+    round g differently in the last bit from the same entries of the
+    whole output (at most 1.8e-16 relative on the models measured).
 
     Counts are contracted in float64 when no partial sum can reach 2**53
     (every one is then an exactly represented integer, in any summation
     order), else in int64 when none can reach 2**63, else in Python
     ints; the result is the same int64 array every way.  A count past
     the int64 maximum raises CountOverflowError, which the CLI reports
-    with exit code 2.
+    with exit code 2.  When both sa and sb are member-uniform, one grid
+    broadcast over the member axes (see _shared_counts), every output
+    member has the same counts k * conv(grid_a, grid_b): the kernel
+    contracts the one grid pair, in the same count type, and returns s
+    as that grid broadcast to (m, c, *window).  Then g is the only
+    output array of full size, and the count contraction costs 1 / (m c)
+    of the T contraction instead of as much.
 
     g = (s - T) / 2 has an absolute error of about eps * s, so g keeps
     its relative precision only while |g| / s is not much below 1:
@@ -242,31 +263,54 @@ def bank_convolve(ga, sa, gb, sb):
     m, grid_b = gb.shape[0], gb.shape[2:]
     if c * math.prod(grid_b) > m * math.prod(grid_a):
         # window b with a's grid instead, the smaller gathered copy
-        g, s = bank_convolve(*(x.swapaxes(0, 1) for x in (gb, sb, ga, sa)))
+        g, s = bank_convolve(*(x.swapaxes(0, 1) for x in (gb, sb, ga, sa)), window)
         return g.swapaxes(0, 1), s.swapaxes(0, 1)
-    rank = len(grid_a)
-    out_grid = tuple(x + y - 1 for x, y in zip(grid_a, grid_b))
+    if window is None:
+        window = tuple(slice(0, x + y - 1) for x, y in zip(grid_a, grid_b))
+    t = _contract(sa - 2.0 * ga, sb - 2.0 * gb, window, np.float64)
+    shared_a, shared_b = _shared_counts(sa), _shared_counts(sb)
+    shared = shared_a is not None and shared_b is not None
+    if shared:
+        sa, sb = shared_a, shared_b
     # an output entry sums at most k * prod(min(A_i, B_i)) terms, each at
     # most max(s_a) * max(s_b)
     terms = k * math.prod(min(x, y) for x, y in zip(grid_a, grid_b))
     bound = int(sa.max()) * int(sb.max()) * terms
     count_type = np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
-    # pad a by slice assignment into zeroed buffers; np.pad made collapse of
+    if shared:
+        # k equal terms per entry; their sum stays below the bound, so it is exact
+        s = np.broadcast_to(_int64_counts(k * _contract(sa, sb, window, count_type)), t.shape)
+    else:
+        s = _int64_counts(_contract(sa, sb, window, count_type))
+    return 0.5 * (s - t), s
+
+
+def _contract(a, b, window, dtype):
+    """sum_k conv(a[k, j], b[i, k]) over the window, as (m, c, *window) of dtype.
+
+    The windowed matrix product of bank_convolve for one pair of
+    operands, a (k, c, *A) windowed with b's (m, k, *B) grid.
+    """
+    (k, c), grid_a = a.shape[:2], a.shape[2:]
+    m, grid_b = b.shape[0], b.shape[2:]
+    rank = len(grid_a)
+    # pad a by slice assignment into a zeroed buffer; np.pad made collapse of
     # a 1-16-32-32 stack about 20% slower
     padded = (k, c) + tuple(x + 2 * (y - 1) for x, y in zip(grid_a, grid_b))
     inner = (slice(None), slice(None)) + tuple(
         slice(y - 1, y - 1 + x) for x, y in zip(grid_a, grid_b)
     )
-    ta = np.zeros(padded)
-    ta[inner] = sa - 2.0 * ga
-    pa = np.zeros(padded, dtype=count_type)
-    pa[inner] = sa
+    pa = np.zeros(padded, dtype=dtype)
+    pa[inner] = a
+    # output position p of the full convolution reads pa[p : p + B]
+    pa = pa[(slice(None), slice(None)) + tuple(
+        slice(w.start, w.stop + y - 1) for w, y in zip(window, grid_b)
+    )]
     flip = (slice(None), slice(None)) + (slice(None, None, -1),) * rank
     # b as a contiguous m x (k * |B|) matrix: matmul would run a strided
     # (flipped) operand in numpy's own loop instead of BLAS
-    tb = np.ascontiguousarray((sb - 2.0 * gb)[flip]).reshape(m, -1)
-    pb = np.ascontiguousarray(sb.astype(count_type)[flip]).reshape(m, -1)
-    spatial = tuple(range(2, 2 + rank))
+    pb = np.ascontiguousarray(b[flip], dtype=dtype).reshape(m, -1)
+    out_grid = tuple(w.stop - w.start for w in window)
     rest = out_grid[1:]
     depth, row_width = k * math.prod(grid_b), c * math.prod(rest)
     step = max(1, _IM2COL_ENTRIES // (depth * row_width))
@@ -277,7 +321,7 @@ def bank_convolve(ga, sa, gb, sb):
     # (products, k, *B, c, rows per product, *rest)
     order = (2, 0, *range(3 + rank, 3 + 2 * rank), 1, 3, *range(4, 3 + rank))
 
-    def products(other, windows):
+    def products(windows):
         # (m, c, rows, *rest); all else is freed on return.  Keeping a
         # product alive while the next copy was gathered raised the peak
         # memory of a 64x64 apply by 3 MiB.
@@ -285,19 +329,26 @@ def bank_convolve(ga, sa, gb, sb):
         per = min(per_product, n)
         split = windows.reshape((k, c, n // per, per) + windows.shape[3:])
         gathered = split.transpose(order).reshape(n // per, depth, -1)
-        product = np.matmul(other, gathered).reshape((n // per, m, c, per) + rest)
+        product = np.matmul(pb, gathered).reshape((n // per, m, c, per) + rest)
         return np.moveaxis(product, 0, 2).reshape((m, c, n) + rest)
 
-    t = np.empty((m, c) + out_grid)
-    s = np.empty((m, c) + out_grid, dtype=count_type)
-    windows_t = np.lib.stride_tricks.sliding_window_view(ta, grid_b, axis=spatial)
-    windows_s = np.lib.stride_tricks.sliding_window_view(pa, grid_b, axis=spatial)
+    out = np.empty((m, c) + out_grid, dtype=dtype)
+    windows = np.lib.stride_tricks.sliding_window_view(pa, grid_b, axis=tuple(range(2, 2 + rank)))
     for r in range(0, out_grid[0], step):
         rows = (slice(None), slice(None), slice(r, r + step))
-        t[rows] = products(tb, windows_t[rows])
-        s[rows] = products(pb, windows_s[rows])
-    s = _int64_counts(s)
-    return 0.5 * (s - t), s
+        out[rows] = products(windows[rows])
+    return out
+
+
+def _shared_counts(s):
+    """The (1, 1, *grid) count grid that every member of s (m, c, *grid) shares, or None.
+
+    Read from the strides alone, without comparing entries: each member
+    axis has extent 1 or, as in a broadcast grid, stride 0.
+    """
+    if all(n == 1 or step == 0 for n, step in zip(s.shape[:2], s.strides[:2])):
+        return s[:1, :1]
+    return None
 
 
 def _int64_counts(s):

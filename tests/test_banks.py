@@ -353,12 +353,16 @@ def test_composite_is_associative_on_banks():
 
 @pytest.fixture
 def windowed(monkeypatch):
-    """Record (dtype, product count) of the windowed operand of every np.matmul call."""
+    """Record (dtype, product count, rows of the flipped operand) of every np.matmul call.
+
+    The dtype and product count are the windowed operand's; the flipped
+    operand has one row per output filter, or one for a shared count grid.
+    """
     seen = []
     matmul = np.matmul
 
     def spy(x, y):
-        seen.append((y.dtype, y.shape[0]))
+        seen.append((y.dtype, y.shape[0], x.shape[0]))
         return matmul(x, y)
 
     monkeypatch.setattr(np, "matmul", spy)
@@ -375,8 +379,9 @@ def test_composite_row_chunks_are_bit_equal_to_one_chunk(monkeypatch, windowed, 
     if count_type == "float64":
         sa, sb = rng.integers(1, 4, shape_a), rng.integers(1, 4, shape_b)
     elif count_type == "int64":
-        # bound 2**52 * 16 terms
-        sa, sb = np.full(shape_a, 2**26), np.full(shape_b, 2**26)
+        # bound 2**52 * 16 terms; counts that vary by member take the full
+        # count contraction, which uniform ones would skip
+        sa, sb = (2**24 * rng.choice([3, 4], shape) for shape in (shape_a, shape_b))
     else:
         # bound 2**62 * 16 terms; the largest true count is 2**62 + 1
         sa, sb = np.ones(shape_a, np.int64), np.ones(shape_b, np.int64)
@@ -394,9 +399,9 @@ def test_composite_row_chunks_are_bit_equal_to_one_chunk(monkeypatch, windowed, 
             assert composite_convolve(a, b) == one_chunk
             # one T and one count contraction per chunk, of one product per
             # row or per chunk
-            assert np.dtype(count_type) in {dtype for dtype, _ in windowed}
+            assert np.dtype(count_type) in {dtype for dtype, *_ in windowed}
             assert len(windowed) == (2 if cap == 2**19 else 6 if cap == 500 else 16)
-            products = sum(n for _, n in windowed) // 2
+            products = sum(n for _, n, _ in windowed) // 2
             assert products == (8 if one_thread_work else len(windowed) // 2)
     ref = reference_composite(a, b)
     assert np.array_equal(ref.s, one_chunk.s)
@@ -428,11 +433,63 @@ def test_composite_count_bound_is_the_true_overlap(windowed):
     a = Bank(sa * rng.uniform(0, 1, sa.shape), sa)
     b = Bank(sb * rng.uniform(0, 1, sb.shape), sb)
     fast = composite_convolve(a, b)
-    assert {dtype for dtype, _ in windowed} == {np.dtype(np.float64)}
+    assert {dtype for dtype, *_ in windowed} == {np.dtype(np.float64)}
     ref = reference_composite(a, b)
     assert ref.s.max() == 2**48 * 18
     assert np.array_equal(ref.s, fast.s)
     assert compare_banks(ref, fast, tol=1e-12).passed
+
+
+def test_member_uniform_counts_are_one_read_only_grid():
+    rng = np.random.default_rng(19)
+    grid = rng.integers(1, 5, (1, 1, 3, 4))
+    g = rng.uniform(0, 1, (2, 3, 3, 4))
+    dense = np.tile(grid, (2, 3, 1, 1))
+    twin = Bank(g, dense)
+    # dense counts are compared once; a broadcast is read from its strides
+    for s in (dense, np.broadcast_to(grid, g.shape)):
+        b = Bank(g, s)
+        assert b.s.shape == g.shape and b.s.dtype == np.int64
+        assert b.s.strides[:2] == (0, 0)
+        assert b.s.base.shape == (1, 1, 3, 4)
+        assert not b.s.flags.writeable and not b.s.base.flags.writeable
+        assert np.array_equal(b.s, dense) and b == twin
+    grid[0, 0, 0, 0] += 1
+    assert np.array_equal(twin.s, dense)
+    dense[1, 2, 0, 0] += 1
+    assert Bank(g, dense).s.strides[:2] != (0, 0)
+
+
+def test_shared_counts_contract_once(windowed):
+    rng = np.random.default_rng(20)
+    a = random_bank(rng, m=3, c=2, shape=(4, 3), max_count=3)
+    b = random_bank(rng, m=4, c=3, shape=(2, 3), max_count=3)
+    # per-member counts: T and counts both contract with b's 4 filters
+    out = composite_convolve(a, b)
+    assert {rows for *_, rows in windowed} == {4}
+    ref = reference_composite(a, b)
+    assert np.array_equal(ref.s, out.s)
+    assert compare_banks(ref, out, tol=1e-12).passed
+    # the same g over one count grid each: the count product has one row,
+    # and the result's counts are one grid too
+    a, b = (Bank(x.g, np.broadcast_to(x.s[:1, :1], x.s.shape)) for x in (a, b))
+    windowed.clear()
+    out = composite_convolve(a, b)
+    assert sorted(rows for *_, rows in windowed) == [1, 4]
+    assert out.s.strides[:2] == (0, 0)
+    ref = reference_composite(a, b)
+    assert np.array_equal(ref.s, out.s)
+    assert compare_banks(ref, out, tol=1e-12).passed
+
+
+def test_shared_counts_past_int64_raise(windowed):
+    # 3 contracted members times 2 overlapping terms of 2**31 * 2**31
+    a = Bank(np.zeros((3, 1, 2)), np.full((3, 1, 2), 2**31))
+    b = Bank(np.zeros((2, 3, 2)), np.full((2, 3, 2), 2**31))
+    with pytest.raises(CountOverflowError, match=str(6 * 2**62)):
+        composite_convolve(a, b)
+    # the count grid was contracted once, in Python ints
+    assert [rows for dtype, _, rows in windowed if dtype == object] == [1]
 
 
 # --- effective shape and collapse -------------------------------------------
@@ -614,6 +671,15 @@ def test_apply_rejects_channel_mismatch():
         apply(x, deep)
 
 
+@pytest.mark.parametrize("crop", ["full", "same", "valid"])
+def test_apply_rejects_rank_mismatch_before_cropping(crop):
+    x = random_input(np.random.default_rng(23), channels=1, shape=(9, 9))
+    deep = Bank(np.full((2, 1, 3), 0.5), np.ones((2, 1, 3), dtype=np.int64))
+    with pytest.raises(ValueError) as exc:
+        apply(x, deep, crop)
+    assert str(exc.value) == "spatial rank mismatch: 2 vs 1"
+
+
 def test_apply_valid_too_small_errors():
     rng = np.random.default_rng(14)
     deep = collapse(small_model())  # 6x6 deep epitome
@@ -627,8 +693,77 @@ def test_apply_same_matches_center_of_full():
     deep = collapse(small_model())
     x = random_input(rng, channels=1, shape=(10, 10))
     full = apply(x, deep, "full")
-    same = apply(x, deep, "same")
-    assert same == crop_bank(full, (10, 10))
+    assert crop_bank(full, (15, 15), "full") == full
+    # a window narrows each row's matrix product, which may round g in the
+    # last bit; counts are exact either way
+    for mode, target in (("same", (10, 10)), ("valid", (5, 5))):
+        windowed = apply(x, deep, mode)
+        cropped = crop_bank(full, target, mode)
+        assert np.array_equal(windowed.s, cropped.s)
+        np.testing.assert_allclose(windowed.g, cropped.g, rtol=2 * np.finfo(float).eps, atol=0)
+
+
+def normalized_input(rng, m, c, shape):
+    g = rng.uniform(0.0, 1.0, size=(m, c) + tuple(shape))
+    return Bank(g, np.ones(g.shape, dtype=np.int64))
+
+
+# (input m, input c, input grid), (deep m, deep grid); the deep epitome's c
+# is the input's m
+CROP_CASES = {
+    "rank1-odd-margin": ((1, 1, (9,)), (2, (4,))),
+    "rank2-odd-margins": ((1, 1, (8, 7)), (3, (4, 3))),
+    "rank3": ((2, 1, (5, 6, 4)), (2, (2, 3, 2))),
+    # c * |B| > m * |A|: the deep epitome is windowed with the input's grid
+    "swapped": ((1, 4, (5, 6)), (1, (4, 2))),
+    "tiny-input-wide-deep": ((1, 1, (2, 1)), (3, (9, 8))),
+}
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["member-counts", "shared-counts"])
+@pytest.mark.parametrize("case", CROP_CASES)
+def test_apply_every_crop_matches_cropped_reference(case, shared):
+    (k, c, grid_a), (m, grid_b) = CROP_CASES[case]
+    rng = np.random.default_rng(21)
+    x = normalized_input(rng, k, c, grid_a)
+    deep = random_bank(rng, m, k, grid_b, max_count=3, g_range=(0, 1))
+    if shared:
+        deep = Bank(deep.g, np.broadcast_to(deep.s[:1, :1], deep.s.shape))
+    full = reference_composite(x, deep)
+    targets = {
+        "full": full.spatial_shape,
+        "same": grid_a,
+        "valid": tuple(n - d + 1 for n, d in zip(grid_a, grid_b)),
+    }
+    for mode, target in targets.items():
+        if min(target) < 1:
+            with pytest.raises(ValueError, match="^valid crop is empty"):
+                apply(x, deep, mode)
+            continue
+        out = apply(x, deep, mode)
+        assert out.spatial_shape == target
+        report = compare_banks(crop_bank(full, target, mode), out, tol=1e-9)
+        assert report.count_mismatches == 0 and report.passed, (mode, report)
+
+
+@pytest.mark.parametrize("case", ["rank2-odd-margins", "swapped", "tiny-input-wide-deep"])
+def test_windowed_apply_is_bit_equal_across_chunk_caps(monkeypatch, case):
+    # every row is its own product at these sizes, so the chunk size
+    # cannot change a bit of a windowed output
+    (k, c, grid_a), (m, grid_b) = CROP_CASES[case]
+    rng = np.random.default_rng(22)
+    x = normalized_input(rng, k, c, grid_a)
+    deep = random_bank(rng, m, k, grid_b, max_count=3, g_range=(0, 1))
+    expected = apply(x, deep, "same")
+    for cap in (2**19, 500, 1):
+        monkeypatch.setattr(epitome, "_IM2COL_ENTRIES", cap)
+        assert apply(x, deep, "same") == expected
+
+
+def test_crop_to_own_shape_is_the_bank_itself():
+    b = Bank(np.zeros((1, 1, 5)), np.ones((1, 1, 5), dtype=np.int64))
+    assert crop_bank(b, (5,), "same") is b
+    assert crop_bank(b, (5,), "valid") is b
 
 
 def test_crop_full_is_identity():

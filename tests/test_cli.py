@@ -11,6 +11,7 @@ from ghne import (
     LayerSpec,
     Model,
     TruncatedError,
+    apply,
     collapse,
     load_epitome,
     read_image,
@@ -436,6 +437,35 @@ def test_bench_single_rep(model_file, capsys):
     lines = capsys.readouterr().out.splitlines()
     modes = [line.split(",")[0] for line in lines[1:]]
     assert modes == ["collapse", "layered", "one_step"]
+
+
+@pytest.mark.parametrize("crop", ["full", "same", "valid"])
+def test_bench_gates_and_times_the_crop(model_file, monkeypatch, capsys, crop):
+    # the gate compares the cropped reference with the apply that is timed
+    crops = []
+
+    def recorded(input_bank, deep, crop="full"):
+        crops.append(crop)
+        return apply(input_bank, deep, crop)
+
+    monkeypatch.setattr("ghne.cli.apply", recorded)
+    path, _ = model_file
+    assert main(["bench", "--model", path, "--input-size", "12", "--reps", "2", "--crop", crop]) == 0
+    captured = capsys.readouterr()
+    side = {"full": 20, "same": 12, "valid": 4}[crop]
+    assert f"bench-equivalence: PASS entries={2 * side * side} " in captured.err
+    assert [line.split(",")[0] for line in captured.out.splitlines()[1:]] == [
+        "collapse", "layered", "layered", "one_step", "one_step"
+    ]
+    assert crops == [crop] * 3
+
+
+def test_bench_valid_crop_of_a_small_input_is_a_usage_error(model_file, capsys):
+    path, _ = model_file
+    assert main(["bench", "--model", path, "--input-size", "8", "--crop", "valid"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: valid crop is empty")
 
 
 def test_bench_refuses_timings_when_the_gate_fails(model_file, monkeypatch, capsys):

@@ -518,6 +518,19 @@ def ghne_bytes(m=1, c=1, extents=(2,), entries=((0.5, 1), (0.25, 2)), version=1,
     return head + body
 
 
+def test_shared_counts_are_written_entry_by_entry(tmp_path):
+    # one count grid held for both members is written as dense counts,
+    # as it always was, and loads back as one grid
+    g = np.array([[[0.5, 0.25]], [[0.75, 1.5]]])
+    bank = Bank(g, np.broadcast_to(np.array([[[1, 2]]]), g.shape))
+    path = tmp_path / "shared.ghne"
+    save_epitome(bank, path)
+    entries = ((0.5, 1), (0.25, 2), (0.75, 1), (1.5, 2))
+    assert path.read_bytes() == ghne_bytes(m=2, extents=(2,), entries=entries)
+    loaded = load_epitome(path)
+    assert loaded == bank and loaded.s.strides[:2] == (0, 0)
+
+
 def test_load_rejects_bad_magic(tmp_path):
     p = tmp_path / "x.ghne"
     p.write_bytes(ghne_bytes(magic=b"GHNX"))

@@ -19,6 +19,7 @@ stride-2 kernel becomes 10x10 and all the stride-1 shape arithmetic
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -28,7 +29,6 @@ from .epitome import (
     Epitome,
     Histogram,
     _PairGrid,
-    _shared_counts,
     bank_convolve,
     histogram,
     mean_fuzziness,
@@ -64,22 +64,15 @@ class Bank(_PairGrid):
     Counts that every member shares, as those of normalized layers and
     inputs and of every convolution of them do, are stored once: s is
     then one read-only int64 grid broadcast to (m, c, *spatial), which
-    bank_convolve contracts once instead of m * c times.  Counts given
-    as such a broadcast (or with m = c = 1) are taken as shared from
-    their strides; dense counts are compared once, here.
+    bank_convolve contracts once instead of m * c times.  _PairGrid's
+    rule finds them over the two member axes: from the strides of a
+    broadcast, else by comparing dense counts once.
     """
 
     __slots__ = ()
     _NAME = "bank"
-    _MIN_RANK = 3
+    _MEMBER_AXES = 2
     _RANK_ERROR = "bank arrays must be (m, c, *spatial) with rank >= 3, got rank {}"
-
-    @staticmethod
-    def _distinct_counts(s):
-        grid = _shared_counts(s)
-        if grid is None and np.all(s == s[:1, :1]):
-            grid = s[:1, :1]
-        return s if grid is None else grid
 
     @property
     def m(self) -> int:
@@ -223,16 +216,23 @@ class DeepEpitome:
 
 
 def _stride_tuple(stride, rank: int) -> tuple[int, ...]:
-    """A per-axis stride from an int or a sequence, each value >= 1."""
+    """A per-axis stride from an integer or a sequence of them, each >= 1."""
     if isinstance(stride, (int, np.integer)):
-        stride = (int(stride),) * rank
-    else:
-        stride = tuple(int(v) for v in stride)
+        stride = (stride,) * rank
+    stride = _integers(stride, "stride")
     if len(stride) != rank:
         raise ValueError(f"stride has {len(stride)} entries for {rank} spatial axes")
     if any(v < 1 for v in stride):
         raise ValueError(f"stride must be >= 1 on every axis, got {stride}")
     return stride
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    """values as ints; a value not a Python or numpy integer raises ValueError."""
+    try:
+        return tuple(operator.index(v) for v in values)
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values!r}") from None
 
 
 def layer_to_bank(layer: LayerSpec, fill: str = "replicate") -> Bank:
@@ -373,7 +373,7 @@ def _crop_window(source, target, mode):
         raise ValueError(f"unknown crop mode {mode!r}, expected one of {_CROP_MODES}")
     if mode == "full":
         return None
-    target = tuple(int(t) for t in target)
+    target = _integers(target, "crop target")
     if len(target) != len(source):
         raise ValueError(f"target rank {len(target)} != bank spatial rank {len(source)}")
     if any(t < 1 for t in target):
@@ -416,11 +416,12 @@ def bank_stats(bank: Bank, bins: int, value_range=None) -> StatsReport:
     numpy's expanded single-point range).  A range wider than float64's
     maximum raises ValueError.
     """
-    values = bank.values()
     shared = value_range
     if shared is None:
-        lo = float(values.min())
-        hi = float(values.max())
+        values = bank.values()
+        lo, hi = float(values.min()), float(values.max())
+        # freed before the histograms, which compute the values again
+        del values
         shared = (lo, hi) if lo < hi else None
     if shared is not None and float(shared[1]) - float(shared[0]) == math.inf:
         raise ValueError(f"histogram range {shared} is wider than float64's maximum")
@@ -431,6 +432,5 @@ def bank_stats(bank: Bank, bins: int, value_range=None) -> StatsReport:
             members.append(
                 MemberStats(i, j, histogram(e, bins, shared), mean_fuzziness(e))
             )
-    pooled = Epitome(values.ravel(), np.ones(values.size, dtype=np.int64))
-    aggregate = MemberStats(None, None, histogram(pooled, bins, shared), mean_fuzziness(pooled))
+    aggregate = MemberStats(None, None, histogram(bank, bins, shared), mean_fuzziness(bank))
     return StatsReport(bins, tuple(members), aggregate)

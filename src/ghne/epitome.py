@@ -28,6 +28,7 @@ a new one.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,10 +68,10 @@ class _PairGrid:
     """Validated, immutable float64 g and int64 s arrays of one shape.
 
     The shared core of Epitome and Bank.  A subclass sets _NAME for its
-    messages, _MIN_RANK, and _RANK_ERROR, the message for a lower rank
-    (formatted with the rank found).  It may override _distinct_counts
-    to keep repeated counts once: s is then a read-only broadcast of
-    what that returns.
+    messages, _MEMBER_AXES, the number of leading axes that index
+    members (the rank is at least one more), and _RANK_ERROR, formatted
+    with a lower rank found.  Counts that every member shares are kept
+    once (see _distinct_counts), as a read-only broadcast of one grid.
     """
 
     __slots__ = ("g", "s")
@@ -85,7 +86,7 @@ class _PairGrid:
         if not exact:
             # reject silent float counts; exact integer arithmetic is load-bearing
             raise TypeError(f"counts must be integers, got dtype {s.dtype}")
-        if g.ndim < self._MIN_RANK:
+        if g.ndim < self._MEMBER_AXES + 1:
             raise ValueError(self._RANK_ERROR.format(g.ndim))
         if g.shape != s.shape:
             raise ValueError(f"g shape {g.shape} != s shape {s.shape}")
@@ -93,7 +94,7 @@ class _PairGrid:
             raise ValueError(f"{self._NAME} must have at least one entry per axis")
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite g value in {self._NAME}")
-        s = self._distinct_counts(s)
+        s = _distinct_counts(s, self._MEMBER_AXES)
         # checked before the int64 copy, which a Python int below -2**63 overflows
         if np.any(s < 1):
             raise ValueError("every summand count must be >= 1")
@@ -104,11 +105,6 @@ class _PairGrid:
         self.g = g
         # shared counts stay one grid; the read-only broadcast copies nothing
         self.s = s if s.shape == g.shape else np.broadcast_to(s, g.shape)
-
-    @staticmethod
-    def _distinct_counts(s):
-        """The part of the counts s that holds each distinct one: here all of s."""
-        return s
 
     @property
     def is_normalized(self) -> bool:
@@ -136,7 +132,7 @@ class Epitome(_PairGrid):
 
     __slots__ = ()
     _NAME = "epitome"
-    _MIN_RANK = 1
+    _MEMBER_AXES = 0
     _RANK_ERROR = "epitome rank must be >= 1 (got a bare scalar)"
 
     @property
@@ -185,8 +181,10 @@ def merged_pair(gn, sn, gm, sm):
     pairwise GHDs of any decomposition of gn into sn summands and gm
     into sm summands, which is computable without knowing the summands.
     """
-    sn = int(sn)
-    sm = int(sm)
+    try:
+        sn, sm = operator.index(sn), operator.index(sm)
+    except TypeError:
+        raise TypeError(f"counts must be integers, got ({sn!r}, {sm!r})") from None
     if sn < 1 or sm < 1:
         raise ValueError(f"counts must be >= 1, got ({sn}, {sm})")
     return float(ghd(gn, gm) + (sm - 1) * gn + (sn - 1) * gm), sn * sm
@@ -241,18 +239,16 @@ def bank_convolve(ga, sa, gb, sb, window=None):
     round g differently in the last bit from the same entries of the
     whole output (at most 1.8e-16 relative on the models measured).
 
-    Counts are contracted in float64 when no partial sum can reach 2**53
-    (every one is then an exactly represented integer, in any summation
-    order), else in int64 when none can reach 2**63, else in Python
-    ints; the result is the same int64 array every way.  A count past
-    the int64 maximum raises CountOverflowError, which the CLI reports
-    with exit code 2.  When both sa and sb are member-uniform, one grid
-    broadcast over the member axes (see _shared_counts), every output
-    member has the same counts k * conv(grid_a, grid_b): the kernel
-    contracts the one grid pair, in the same count type, and returns s
-    as that grid broadcast to (m, c, *window).  Then g is the only
-    output array of full size, and the count contraction costs 1 / (m c)
-    of the T contraction instead of as much.
+    When sa and sb are both one grid broadcast over the member axes (see
+    _distinct_counts), every output member has the counts
+    k * conv(grid_a, grid_b): the grid pair is contracted with weight k,
+    at 1 / (m c) of the T contraction's cost.  Otherwise the per-member
+    arrays are, with weight 1.  Either way counts are contracted in
+    float64 when no partial sum can reach 2**53 (each is then an exact
+    integer, in any summation order), else in int64 when none can reach
+    2**63, else in Python ints, and s is a read-only int64 array
+    broadcast to (m, c, *window).  A count past the int64 maximum raises
+    CountOverflowError, which the CLI reports with exit code 2.
 
     g = (s - T) / 2 has an absolute error of about eps * s, so g keeps
     its relative precision only while |g| / s is not much below 1:
@@ -268,20 +264,16 @@ def bank_convolve(ga, sa, gb, sb, window=None):
     if window is None:
         window = tuple(slice(0, x + y - 1) for x, y in zip(grid_a, grid_b))
     t = _contract(sa - 2.0 * ga, sb - 2.0 * gb, window, np.float64)
-    shared_a, shared_b = _shared_counts(sa), _shared_counts(sb)
-    shared = shared_a is not None and shared_b is not None
-    if shared:
-        sa, sb = shared_a, shared_b
+    weight = 1
+    grids = [_distinct_counts(x, 2, compare=False) for x in (sa, sb)]
+    if all(x.shape[:2] == (1, 1) for x in grids):
+        (sa, sb), weight = grids, k
     # an output entry sums at most k * prod(min(A_i, B_i)) terms, each at
-    # most max(s_a) * max(s_b)
+    # most max(s_a) * max(s_b), so no weighted partial sum passes the bound
     terms = k * math.prod(min(x, y) for x, y in zip(grid_a, grid_b))
     bound = int(sa.max()) * int(sb.max()) * terms
     count_type = np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
-    if shared:
-        # k equal terms per entry; their sum stays below the bound, so it is exact
-        s = np.broadcast_to(_int64_counts(k * _contract(sa, sb, window, count_type)), t.shape)
-    else:
-        s = _int64_counts(_contract(sa, sb, window, count_type))
+    s = np.broadcast_to(_int64_counts(weight * _contract(sa, sb, window, count_type)), t.shape)
     return 0.5 * (s - t), s
 
 
@@ -340,15 +332,18 @@ def _contract(a, b, window, dtype):
     return out
 
 
-def _shared_counts(s):
-    """The (1, 1, *grid) count grid that every member of s (m, c, *grid) shares, or None.
+def _distinct_counts(s, member_axes, compare=True):
+    """The grid every member of s shares, of extent 1 on the member axes, else s.
 
-    Read from the strides alone, without comparing entries: each member
-    axis has extent 1 or, as in a broadcast grid, stride 0.
+    The first member_axes axes of s index members.  A member axis of
+    extent 1 or stride 0 (a broadcast) is shared; dense counts are then
+    compared, unless compare is False, as for bank_convolve's operands.
     """
-    if all(n == 1 or step == 0 for n, step in zip(s.shape[:2], s.strides[:2])):
-        return s[:1, :1]
-    return None
+    grid = s[(slice(0, 1),) * member_axes]
+    steps = zip(s.shape[:member_axes], s.strides[:member_axes])
+    if all(n == 1 or step == 0 for n, step in steps) or (compare and np.all(s == grid)):
+        return grid
+    return s
 
 
 def _int64_counts(s):
@@ -407,8 +402,8 @@ def mean_fuzziness(e) -> float:
             raise ValueError(f"fuzziness overflows float64: |g/s| reaches {peak!r}") from None
 
 
-def histogram(e: Epitome, bins: int, value_range=None) -> Histogram:
-    """Histogram the normalized entries g/s.
+def histogram(e, bins: int, value_range=None) -> Histogram:
+    """Histogram the normalized entries g/s of an Epitome or a Bank.
 
     Default range is the data min/max; an explicit (lo, hi) fixes it
     (entries outside it are dropped, numpy semantics).  Values exactly

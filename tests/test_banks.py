@@ -235,6 +235,20 @@ def test_layer_rejects_empty_name_or_grid(name, weights, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("stride", [(2.5, 1), 2.5, ("2", 1)])
+def test_layer_stride_must_be_integers(stride):
+    # int() would have taken (2.5, 1) as stride (2, 1)
+    with pytest.raises(ValueError) as exc:
+        LayerSpec("a", np.zeros((1, 1, 3, 3)), stride)
+    assert str(exc.value) == f"layer 'a': stride must be integers, got {stride!r}"
+
+
+def test_layer_stride_takes_numpy_integers():
+    layer = LayerSpec("a", np.zeros((1, 1, 3, 3)), np.int32(2))
+    assert layer.stride == (2, 2) and type(layer.stride[0]) is int
+    assert LayerSpec("a", np.zeros((1, 1, 3, 3)), np.array([2, 1])).stride == (2, 1)
+
+
 def test_model_chain_error_names_both_layers():
     a = LayerSpec("first", np.zeros((2, 1, 3)), 1)
     b = LayerSpec("second", np.zeros((1, 3, 3)), 1)
@@ -490,6 +504,40 @@ def test_shared_counts_past_int64_raise(windowed):
         composite_convolve(a, b)
     # the count grid was contracted once, in Python ints
     assert [rows for dtype, _, rows in windowed if dtype == object] == [1]
+
+
+@pytest.mark.parametrize(
+    "peak, count_type",
+    [(2**50 - 1, np.float64), (2**50, np.int64), (2**60 - 1, np.int64), (2**60, object)],
+)
+def test_member_counts_at_the_count_type_edges(windowed, peak, count_type):
+    # the count bound is peak * max(sb) = 2 times 4 terms (2 contracted
+    # members, 2 overlapping entries): 2**53 - 8, 2**53, 2**63 - 8, 2**63.
+    # Counts vary by member, so both banks contract their own arrays.
+    sa = np.array([[[peak, 3]], [[2, 1]]])
+    sb = np.array([[[2, 1], [1, 1]], [[1, 1], [1, 2]]])
+    rng = np.random.default_rng(21)
+    a, b = (Bank(s * rng.uniform(0, 1, s.shape), s) for s in (sa, sb))
+    out = composite_convolve(a, b)
+    # T in float64, counts in the type the bound allows, both with b's 2 filters
+    assert {dtype for dtype, *_ in windowed} == {np.dtype(np.float64), np.dtype(count_type)}
+    assert [rows for *_, rows in windowed] == [2, 2]
+    ref = reference_composite(a, b)
+    assert ref.s.max() == 2 * peak + 2
+    assert np.array_equal(ref.s, out.s)
+    assert compare_banks(ref, out, tol=1e-9).passed
+
+
+def test_member_counts_past_int64_raise(windowed):
+    # output (0, 0) at the centre sums 2**62 + 2**62 over k = 0 and
+    # 2**62 + 2**31 over k = 1
+    sa = np.array([[[2**31, 2**31]], [[2**31, 1]]])
+    sb = np.array([[[2**31, 2**31], [2**31, 2**31]], [[1, 1], [1, 1]]])
+    a, b = (Bank(np.zeros(s.shape), s) for s in (sa, sb))
+    with pytest.raises(CountOverflowError, match=f"summand count {3 * 2**62 + 2**31} exceeds"):
+        composite_convolve(a, b)
+    # the per-member counts were contracted with b's 2 filters, in Python ints
+    assert [rows for dtype, _, rows in windowed if dtype == object] == [2]
 
 
 # --- effective shape and collapse -------------------------------------------
@@ -764,6 +812,13 @@ def test_crop_to_own_shape_is_the_bank_itself():
     b = Bank(np.zeros((1, 1, 5)), np.ones((1, 1, 5), dtype=np.int64))
     assert crop_bank(b, (5,), "same") is b
     assert crop_bank(b, (5,), "valid") is b
+
+
+def test_crop_target_must_be_integers():
+    b = Bank(np.zeros((1, 1, 5, 5)), np.ones((1, 1, 5, 5), dtype=np.int64))
+    with pytest.raises(ValueError, match=r"^crop target must be integers, got \(2\.5, 3\)$"):
+        crop_bank(b, (2.5, 3), "same")
+    assert crop_bank(b, np.array([2, 3]), "same").spatial_shape == (2, 3)
 
 
 def test_crop_full_is_identity():

@@ -114,6 +114,15 @@ def test_merged_pair_count_validation():
         merged_pair(0.1, 1, 0.2, -3)
 
 
+def test_merged_pair_counts_must_be_integers():
+    # int() would merge count 2 instead and return (2.52, 6)
+    with pytest.raises(TypeError, match=r"^counts must be integers, got \(2\.5, 3\)$"):
+        merged_pair(0.6, 2.5, 0.9, 3)
+    with pytest.raises(TypeError, match="counts must be integers"):
+        merged_pair(0.6, 2, 0.9, np.float64(3.0))
+    assert merged_pair(0.6, np.int64(2), 0.9, np.uint8(3)) == merged_pair(0.6, 2, 0.9, 3)
+
+
 @given(
     st.lists(st.floats(min_value=0, max_value=1, allow_nan=False), min_size=1, max_size=5),
     st.lists(st.floats(min_value=0, max_value=1, allow_nan=False), min_size=1, max_size=5),

@@ -58,12 +58,13 @@ print("valid:", apply(x, deep, "valid").spatial_shape)
 # the same windowed (im2col) kernel; layered_forward above is the slow,
 # independent reference and only checks.  Each contraction is a BLAS
 # product batched over output rows, whose cost is mostly gathering the
-# windows.  This model has only 2 or 3 filters per layer, so the one
-# pass (a 23x23 window over the input for 2 filters) and the three
-# layered steps gather about as much, and the one pass is only a little
-# faster (about 0.7 against 1.0 ms on 2 CPUs).  With more filters per
-# gathered window the one pass wins: on a 1-16-32-32 stack of 3x3
-# kernels it was 5 to 7 times faster from 28x28 to 256x256 inputs.
+# windows.  This model has only 2 or 3 filters per layer, and a layered
+# step gathers only a strided layer's 5x5 taps, not its 10x10 resized
+# kernel, so the three layered steps gather less than the one pass (a
+# 23x23 window over the input for 2 filters) and run a little faster
+# (about 1.6 against 2.0 ms on 2 CPUs).  With more filters per gathered
+# window the one pass wins: on a 1-16-32-32 stack of 3x3 kernels it was
+# 5 to 7 times faster from 28x28 to 256x256 inputs.
 layer_banks = [layer_to_bank(layer) for layer in model.layers]
 t0 = time.perf_counter()
 for _ in range(5):

@@ -13,7 +13,12 @@ result entry for entry.
 Strided layers enter the algebra through kernel resizing: a stride-s
 kernel is replaced by an s-times-larger stride-1 kernel, so a 5x5
 stride-2 kernel becomes 10x10 and all the stride-1 shape arithmetic
-(extent_out = extent_a + extent_b - 1) applies unchanged.
+(extent_out = extent_a + extent_b - 1) applies unchanged.  The resized
+kernel is never contracted entry by entry.  In T = 1 - 2g it factors
+into the weights' T dilated by s (spread s apart, zeros between),
+convolved with an all-ones s-box for the "replicate" fill and followed
+by s - 1 zeros for "fuzzy"; a layer bank keeps its weights as taps, and
+a fold step contracts just those |K| taps (see epitome.bank_convolve).
 """
 
 from __future__ import annotations
@@ -28,8 +33,11 @@ import numpy as np
 from .epitome import (
     Epitome,
     Histogram,
+    _bank_convolve,
+    _histogram,
+    _mean_fuzziness,
     _PairGrid,
-    bank_convolve,
+    _Taps,
     histogram,
     mean_fuzziness,
 )
@@ -67,12 +75,35 @@ class Bank(_PairGrid):
     bank_convolve contracts once instead of m * c times.  _PairGrid's
     rule finds them over the two member axes: from the strides of a
     broadcast, else by comparing dense counts once.
+
+    A bank from layer_to_bank also keeps the taps its resized kernel is
+    made of, which composite_convolve passes to the kernel; no other
+    bank has them, so a copy, crop or saved file is a plain bank with
+    the same g and s.
     """
 
-    __slots__ = ()
+    __slots__ = ("_taps",)
     _NAME = "bank"
     _MEMBER_AXES = 2
     _RANK_ERROR = "bank arrays must be (m, c, *spatial) with rank >= 3, got rank {}"
+
+    def __init__(self, g, s):
+        super().__init__(g, s)
+        self._taps = None
+
+    @classmethod
+    def _of_layer(cls, g, taps):
+        """The bank of a layer's resized kernel g: counts of 1, and its taps.
+
+        LayerSpec has checked the weights g is made of, so g is neither
+        checked nor copied again.
+        """
+        bank = cls.__new__(cls)
+        ones = np.ones((1, 1) + g.shape[2:], dtype=np.int64)
+        for x in (g, ones):
+            x.setflags(write=False)
+        bank.g, bank.s, bank._taps = g, np.broadcast_to(ones, g.shape), taps
+        return bank
 
     @property
     def m(self) -> int:
@@ -242,7 +273,11 @@ def layer_to_bank(layer: LayerSpec, fill: str = "replicate") -> Bank:
     fill="replicate" repeats each weight into an s-sized block per axis;
     fill="fuzzy" instead places each weight at its block's start and
     pads the rest with the GHD-absorbing value 0.5.  Stride 1 keeps the
-    weights either way.
+    weights either way.  In T = 1 - 2g, the replicate kernel is an
+    all-ones s-box convolved with the weights' T spread s apart, and the
+    fuzzy one is that spread followed by s - 1 zeros; the bank keeps
+    those taps, so that composite_convolve contracts |K| taps instead
+    of the s**rank times larger resized grid.
     """
     if fill not in _STRIDE_FILLS:
         raise ValueError(f"unknown stride fill {fill!r}, expected one of {_STRIDE_FILLS}")
@@ -254,7 +289,7 @@ def layer_to_bank(layer: LayerSpec, fill: str = "replicate") -> Bank:
     else:
         g = np.full(g.shape[:2] + layer.resized_extents(), 0.5)
         g[(Ellipsis,) + tuple(slice(None, None, v) for v in layer.stride)] = layer.weights
-    return Bank(g, np.ones(g.shape, dtype=np.int64))
+    return Bank._of_layer(g, _Taps(layer.weights, layer.stride, fill))
 
 
 def composite_convolve(a: Bank, b: Bank, window=None) -> Bank:
@@ -265,7 +300,8 @@ def composite_convolve(a: Bank, b: Bank, window=None) -> Bank:
     convolve(a[k, j], b[i, k]), so the result has m = b.m, c = a.c, and
     the full-convolution spatial shape, all from one bank_convolve call.
     window, one slice per spatial axis of that full shape, computes only
-    the entries it selects; None computes them all.
+    the entries it selects; None computes them all.  A layer bank's
+    taps go to the kernel along with it, on either side.
     """
     if a.rank != b.rank:
         raise ValueError(f"spatial rank mismatch: {a.rank} vs {b.rank}")
@@ -274,7 +310,7 @@ def composite_convolve(a: Bank, b: Bank, window=None) -> Bank:
             f"bank mismatch: left bank has m={a.m} epitomes but "
             f"right bank expects c={b.c} channels"
         )
-    return Bank(*bank_convolve(a.g, a.s, b.g, b.s, window))
+    return Bank(*_bank_convolve(a.g, a.s, b.g, b.s, window, a._taps, b._taps))
 
 
 def effective_shape(layers) -> tuple[int, ...]:
@@ -428,9 +464,9 @@ def bank_stats(bank: Bank, bins: int, value_range=None) -> StatsReport:
     members = []
     for i in range(bank.m):
         for j in range(bank.c):
-            e = bank.member(i, j)
+            values = bank.g[i, j] / bank.s[i, j]
             members.append(
-                MemberStats(i, j, histogram(e, bins, shared), mean_fuzziness(e))
+                MemberStats(i, j, _histogram(values, bins, shared), _mean_fuzziness(values))
             )
     aggregate = MemberStats(None, None, histogram(bank, bins, shared), mean_fuzziness(bank))
     return StatsReport(bins, tuple(members), aggregate)

@@ -17,7 +17,8 @@ Under t = s - 2g the merge is a plain product, t_out = t * t', just as
 t(x) = 1 - 2x turns the scalar GHD into multiplication.  bank_convolve
 uses that to evaluate a whole bank contraction as two plain
 convolutions, one for t and one for the counts, each a windowed matrix
-product (im2col), batched over output rows, that runs in BLAS.
+product (im2col), batched over output rows, that runs in BLAS; counts
+against an all-ones operand are box sums instead.
 
 Counts are stored as int64, never floats, so they stay exact (a count
 that would not fit raises CountOverflowError); g values are float64.
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -190,9 +192,6 @@ def merged_pair(gn, sn, gm, sm):
     return float(ghd(gn, gm) + (sm - 1) * gn + (sn - 1) * gm), sn * sm
 
 
-# a g past float64's range becomes inf or nan without a numpy warning, and
-# the non-finite check of the Bank or Epitome built from it names the failure
-@np.errstate(over="ignore", invalid="ignore")
 def bank_convolve(ga, sa, gb, sb, window=None):
     """Hamming convolution of two banks given as arrays, over an output window.
 
@@ -239,64 +238,180 @@ def bank_convolve(ga, sa, gb, sb, window=None):
     round g differently in the last bit from the same entries of the
     whole output (at most 1.8e-16 relative on the models measured).
 
-    When sa and sb are both one grid broadcast over the member axes (see
-    _distinct_counts), every output member has the counts
-    k * conv(grid_a, grid_b): the grid pair is contracted with weight k,
-    at 1 / (m c) of the T contraction's cost.  Otherwise the per-member
-    arrays are, with weight 1.  Either way counts are contracted in
-    float64 when no partial sum can reach 2**53 (each is then an exact
-    integer, in any summation order), else in int64 when none can reach
-    2**63, else in Python ints, and s is a read-only int64 array
-    broadcast to (m, c, *window).  A count past the int64 maximum raises
-    CountOverflowError, which the CLI reports with exit code 2.
+    A stride-resized layer bank (see banks.layer_to_bank) keeps its
+    taps, the K-entry kernel of T = 1 - 2w it was resized from, and
+    composite_convolve contracts it through them.  With the stride d
+    per axis, the replicate fill's T is box_d * dilate_d(T_w), the
+    all-ones d-box convolved with the taps spread d apart, and the fuzzy
+    fill's is dilate_d(T_w) followed by d - 1 zeros, as its 0.5 filler
+    has T = 0.  So conv(T_a, T_b) is conv(box_d(T_a), dilate_d(T_w)) or
+    conv(T_a, dilate_d(T_w)) zero-extended by d - 1: one windowed
+    product over the |K| taps, read from the padded operand in steps of
+    d, and the roles swap when c * |K_b| > m * |K_a|, with |K| the taps
+    of an operand that has them and its grid otherwise.  Boxing adds d
+    shifted copies, so g may differ from the dense product in the last
+    bit; counts never do.
+
+    When one operand's counts are one grid of 1s, as a layer bank's and
+    a normalized input's are, every output count is the other operand's
+    counts summed over k and box-summed over the first operand's grid:
+    one prefix sum per axis, in int64 when no prefix sum can reach
+    2**63, else in Python ints.  When sa and sb are both one other grid
+    broadcast over the member axes (see _distinct_counts), every output
+    member has the counts k * conv(grid_a, grid_b): the grid pair is
+    contracted with weight k, at 1 / (m c) of the T contraction's cost.
+    Otherwise the per-member arrays are, with weight 1.  Either way
+    counts are contracted in float64 when no partial sum can reach 2**53
+    (each is then an exact integer, in any summation order), else in
+    int64 when none can reach 2**63, else in Python ints.  s is a
+    read-only int64 array broadcast to (m, c, *window).  A count past
+    the int64 maximum raises CountOverflowError, which the CLI reports
+    with exit code 2.
 
     g = (s - T) / 2 has an absolute error of about eps * s, so g keeps
     its relative precision only while |g| / s is not much below 1:
     counts near 2**30 with g/s near 5e-10 were measured 7.7e-8 off the
     additive reference.  Data in [0, 1] stays far inside the 1e-9 gate.
     """
+    return _bank_convolve(ga, sa, gb, sb, window, None, None)
+
+
+class _Taps(NamedTuple):
+    """The kernel a stride-resized layer bank was built from (see bank_convolve).
+
+    w holds the layer's weights, (m, c, *K), each an entry of count 1;
+    the bank's resized kernel spreads their T stride apart per axis,
+    boxed for fill "replicate" and zero-extended for "fuzzy".
+    """
+
+    w: np.ndarray
+    stride: tuple
+    fill: str
+
+
+# a g past float64's range becomes inf or nan without a numpy warning, and
+# the non-finite check of the Bank or Epitome built from it names the failure
+@np.errstate(over="ignore", invalid="ignore")
+def _bank_convolve(ga, sa, gb, sb, window, taps_a, taps_b):
+    """bank_convolve, given the _Taps (or None) of each operand."""
     (k, c), grid_a = ga.shape[:2], ga.shape[2:]
     m, grid_b = gb.shape[0], gb.shape[2:]
-    if c * math.prod(grid_b) > m * math.prod(grid_a):
-        # window b with a's grid instead, the smaller gathered copy
-        g, s = bank_convolve(*(x.swapaxes(0, 1) for x in (gb, sb, ga, sa)), window)
+    size_a, size_b = (
+        math.prod(grid if taps is None else taps.w.shape[2:])
+        for grid, taps in ((grid_a, taps_a), (grid_b, taps_b))
+    )
+    if c * size_b > m * size_a:
+        # window b with a's kernel instead, the smaller gathered copy
+        swapped = (x.swapaxes(0, 1) for x in (gb, sb, ga, sa))
+        taps = (None if x is None else x._replace(w=x.w.swapaxes(0, 1)) for x in (taps_b, taps_a))
+        g, s = _bank_convolve(*swapped, window, *taps)
         return g.swapaxes(0, 1), s.swapaxes(0, 1)
     if window is None:
         window = tuple(slice(0, x + y - 1) for x, y in zip(grid_a, grid_b))
-    t = _contract(sa - 2.0 * ga, sb - 2.0 * gb, window, np.float64)
-    weight = 1
-    grids = [_distinct_counts(x, 2, compare=False) for x in (sa, sb)]
-    if all(x.shape[:2] == (1, 1) for x in grids):
-        (sa, sb), weight = grids, k
+    ta = sa - 2.0 * ga
+    if taps_b is None:
+        t = _contract(ta, sb - 2.0 * gb, window, np.float64, (1,) * len(window))
+    else:
+        t = _tap_contract(ta, taps_b, window)
+    s = np.broadcast_to(_int64_counts(_counts(sa, sb, window)), t.shape)
+    return 0.5 * (s - t), s
+
+
+def _tap_contract(ta, taps, window):
+    """sum_k conv(ta[k, j], T[i, k]) over the window, T the resized kernel of taps."""
+    tb = 1.0 - 2.0 * taps.w
+    if taps.fill == "replicate":
+        ta = _box(ta, taps.stride)
+    # conv(ta, dilate(tb)) ends here; the fuzzy kernel's zero tail extends it
+    ends = tuple(x + (y - 1) * d for x, y, d in zip(ta.shape[2:], tb.shape[2:], taps.stride))
+    inner = tuple(slice(w.start, min(w.stop, e)) for w, e in zip(window, ends))
+    if inner == tuple(window):
+        return _contract(ta, tb, window, np.float64, taps.stride)
+    t = np.zeros((tb.shape[0], ta.shape[1]) + tuple(w.stop - w.start for w in window))
+    if all(x.start < x.stop for x in inner):
+        head = (slice(None), slice(None)) + tuple(slice(0, x.stop - x.start) for x in inner)
+        t[head] = _contract(ta, tb, inner, np.float64, taps.stride)
+    return t
+
+
+def _box(x, widths):
+    """Full convolution of every member of x (n, c, *grid) with an all-ones grid of widths.
+
+    Shifted copies are added, not prefix sums differenced, which would
+    cost T the precision of its largest partial sums.
+    """
+    for axis, w in enumerate(widths, 2):
+        if w > 1:
+            n = x.shape[axis]
+            out = np.zeros(x.shape[:axis] + (n + w - 1,) + x.shape[axis + 1 :])
+            for j in range(w):
+                out[(slice(None),) * axis + (slice(j, j + n),)] += x
+            x = out
+    return x
+
+
+def _counts(sa, sb, window):
+    """sum_k conv(sa[k, j], sb[i, k]) over the window, exact, before the int64 check."""
+    (k, c), grid_a = sa.shape[:2], sa.shape[2:]
+    grid_b = sb.shape[2:]
+    sa, sb = (_distinct_counts(x, 2, compare=False) for x in (sa, sb))
+    if sb.shape[:2] == (1, 1) and (sb == 1).all():
+        return _box_sums(sa, 0, k, grid_b, window)
+    if sa.shape[:2] == (1, 1) and (sa == 1).all():
+        return _box_sums(sb, 1, k, grid_a, window)
+    weight = k if sa.shape[:2] == sb.shape[:2] == (1, 1) else 1
     # an output entry sums at most k * prod(min(A_i, B_i)) terms, each at
     # most max(s_a) * max(s_b), so no weighted partial sum passes the bound
     terms = k * math.prod(min(x, y) for x, y in zip(grid_a, grid_b))
     bound = int(sa.max()) * int(sb.max()) * terms
     count_type = np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
-    s = np.broadcast_to(_int64_counts(weight * _contract(sa, sb, window, count_type)), t.shape)
-    return 0.5 * (s - t), s
+    return weight * _contract(sa, sb, window, count_type, (1,) * len(window))
 
 
-def _contract(a, b, window, dtype):
-    """sum_k conv(a[k, j], b[i, k]) over the window, as (m, c, *window) of dtype.
+def _box_sums(s, axis, k, widths, window):
+    """s summed over its contracted axis and convolved with an all-ones grid of widths.
+
+    s is a's counts (k, c, *grid) with axis 0 or b's (m, k, *grid) with
+    axis 1; extent 1 there stands for k equal members.  Along each axis
+    the full convolution is a prefix sum less itself w places back.
+    """
+    # no prefix sum passes the total count
+    bound = int(s.max()) * k * math.prod(s.shape[2:])
+    dtype = np.int64 if bound < 2**63 else object
+    members = tuple(1 if i == axis else n for i, n in enumerate(s.shape[:2]))
+    full = np.zeros(members + tuple(n + w - 1 for n, w in zip(s.shape[2:], widths)), dtype)
+    head = (slice(None), slice(None)) + tuple(slice(0, n) for n in s.shape[2:])
+    s.sum(axis=axis, keepdims=True, dtype=dtype, out=full[head])
+    for ax, w in enumerate(widths, 2):
+        np.cumsum(full, axis=ax, dtype=dtype, out=full)
+        lead = (slice(None),) * ax
+        full[lead + (slice(w, None),)] -= full[lead + (slice(0, -w),)]
+    out = full[(slice(None), slice(None)) + tuple(window)]
+    return k * out if s.shape[axis] == 1 else out
+
+
+def _contract(a, b, window, dtype, step):
+    """sum_k conv(a[k, j], dilate(b)[i, k]) over the window, as (m, c, *window) of dtype.
 
     The windowed matrix product of bank_convolve for one pair of
-    operands, a (k, c, *A) windowed with b's (m, k, *B) grid.
+    operands, a (k, c, *A) windowed with the grid of b (m, k, *B) spread
+    step apart per axis (1 everywhere for b's own grid).
     """
     (k, c), grid_a = a.shape[:2], a.shape[2:]
     m, grid_b = b.shape[0], b.shape[2:]
     rank = len(grid_a)
+    span = tuple((y - 1) * d + 1 for y, d in zip(grid_b, step))
     # pad a by slice assignment into a zeroed buffer; np.pad made collapse of
     # a 1-16-32-32 stack about 20% slower
-    padded = (k, c) + tuple(x + 2 * (y - 1) for x, y in zip(grid_a, grid_b))
+    padded = (k, c) + tuple(x + 2 * (y - 1) for x, y in zip(grid_a, span))
     inner = (slice(None), slice(None)) + tuple(
-        slice(y - 1, y - 1 + x) for x, y in zip(grid_a, grid_b)
+        slice(y - 1, y - 1 + x) for x, y in zip(grid_a, span)
     )
     pa = np.zeros(padded, dtype=dtype)
     pa[inner] = a
-    # output position p of the full convolution reads pa[p : p + B]
+    # output position p of the full convolution reads pa[p : p + span : step]
     pa = pa[(slice(None), slice(None)) + tuple(
-        slice(w.start, w.stop + y - 1) for w, y in zip(window, grid_b)
+        slice(w.start, w.stop + y - 1) for w, y in zip(window, span)
     )]
     flip = (slice(None), slice(None)) + (slice(None, None, -1),) * rank
     # b as a contiguous m x (k * |B|) matrix: matmul would run a strided
@@ -305,10 +420,10 @@ def _contract(a, b, window, dtype):
     out_grid = tuple(w.stop - w.start for w in window)
     rest = out_grid[1:]
     depth, row_width = k * math.prod(grid_b), c * math.prod(rest)
-    step = max(1, _IM2COL_ENTRIES // (depth * row_width))
+    chunk = max(1, _IM2COL_ENTRIES // (depth * row_width))
     # rows per matrix product: one while a row's product stays on the
     # calling thread, else the whole chunk
-    per_product = 1 if m * depth * row_width <= _ONE_THREAD_WORK else step
+    per_product = 1 if m * depth * row_width <= _ONE_THREAD_WORK else chunk
     # window axes (k, c, products, rows per product, *rest, *B) as
     # (products, k, *B, c, rows per product, *rest)
     order = (2, 0, *range(3 + rank, 3 + 2 * rank), 1, 3, *range(4, 3 + rank))
@@ -325,9 +440,10 @@ def _contract(a, b, window, dtype):
         return np.moveaxis(product, 0, 2).reshape((m, c, n) + rest)
 
     out = np.empty((m, c) + out_grid, dtype=dtype)
-    windows = np.lib.stride_tricks.sliding_window_view(pa, grid_b, axis=tuple(range(2, 2 + rank)))
-    for r in range(0, out_grid[0], step):
-        rows = (slice(None), slice(None), slice(r, r + step))
+    windows = np.lib.stride_tricks.sliding_window_view(pa, span, axis=tuple(range(2, 2 + rank)))
+    windows = windows[(Ellipsis,) + tuple(slice(None, None, d) for d in step)]
+    for r in range(0, out_grid[0], chunk):
+        rows = (slice(None), slice(None), slice(r, r + chunk))
         out[rows] = products(windows[rows])
     return out
 
@@ -394,11 +510,16 @@ def mean_fuzziness(e) -> float:
     A fuzziness or mean past float64's range, as for |g/s| above about
     1e154, raises ValueError.
     """
+    return _mean_fuzziness(e.values())
+
+
+def _mean_fuzziness(values) -> float:
+    """mean_fuzziness of an array of normalized values."""
     with np.errstate(over="raise"):
         try:
-            return float(np.mean(_scalar_fuzziness(e.values())))
+            return float(np.mean(_scalar_fuzziness(values)))
         except FloatingPointError:
-            peak = float(np.abs(e.values()).max())
+            peak = float(np.abs(values).max())
             raise ValueError(f"fuzziness overflows float64: |g/s| reaches {peak!r}") from None
 
 
@@ -409,11 +530,16 @@ def histogram(e, bins: int, value_range=None) -> Histogram:
     (entries outside it are dropped, numpy semantics).  Values exactly
     at hi land in the last bin.
     """
+    return _histogram(e.values(), bins, value_range)
+
+
+def _histogram(values, bins: int, value_range) -> Histogram:
+    """histogram of an array of normalized values."""
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     if value_range is not None:
         lo, hi = value_range
         if not lo < hi:
             raise ValueError(f"empty histogram range: ({lo}, {hi})")
-    counts, edges = np.histogram(e.values().ravel(), bins=bins, range=value_range)
+    counts, edges = np.histogram(values.ravel(), bins=bins, range=value_range)
     return Histogram(bin_edges=edges, counts=counts)

@@ -21,6 +21,7 @@ from ghne import (
     epitome,
     layer_to_bank,
 )
+from ghne.model_io import load_epitome, save_epitome
 from ghne.oracle import (
     compare_banks,
     layered_forward,
@@ -538,6 +539,112 @@ def test_member_counts_past_int64_raise(windowed):
         composite_convolve(a, b)
     # the per-member counts were contracted with b's 2 filters, in Python ints
     assert [rows for dtype, _, rows in windowed if dtype == object] == [2]
+
+
+@pytest.fixture
+def prefix_sums(monkeypatch):
+    """Record the dtype of every np.cumsum call: the box-sum counts' prefix sums."""
+    seen = []
+    cumsum = np.cumsum
+
+    def spy(x, **kwargs):
+        seen.append(np.dtype(kwargs["dtype"]))
+        return cumsum(x, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", spy)
+    return seen
+
+
+@pytest.mark.parametrize("peak, count_type", [(2**62 - 1, np.int64), (2**62, object)])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_box_sum_counts_at_the_int64_edge(prefix_sums, side, peak, count_type):
+    # one operand's counts are all 1, so the output counts are the other's
+    # box sums: [peak, 2 * peak, peak], whose prefix sums reach 2 * peak,
+    # 2**63 - 2 in int64 or 2**63 in Python ints
+    ones = Bank(np.zeros((1, 1, 2)), np.ones((1, 1, 2), dtype=np.int64))
+    big = Bank(np.zeros((1, 1, 2)), np.full((1, 1, 2), peak))
+    a, b = (ones, big) if side == "left" else (big, ones)
+    if count_type is object:
+        with pytest.raises(CountOverflowError, match=f"summand count {2**63} exceeds"):
+            composite_convolve(a, b)
+    else:
+        out = composite_convolve(a, b)
+        assert out.s.tolist() == [[[peak, 2 * peak, peak]]]
+        assert np.array_equal(reference_composite(a, b).s, out.s)
+    assert prefix_sums == [np.dtype(count_type)]
+
+
+@pytest.mark.parametrize("half", [2**61 - 1, 2**61])
+def test_windowed_apply_counts_at_the_int64_edge(half):
+    # a normalized 2-channel input against a deep epitome whose members
+    # all count `half`: the centre entry, which every crop keeps, counts
+    # 4 * half, 2**63 - 4 in int64 or 2**63 in Python ints
+    x = random_input(np.random.default_rng(24), channels=2, shape=(2,))
+    s = np.full((1, 2, 2), half)
+    deep = Bank(np.zeros((1, 2, 2)), s)
+    for crop in ("same", "valid"):
+        if half == 2**61:
+            with pytest.raises(CountOverflowError, match=f"summand count {2**63} exceeds"):
+                apply(x, deep, crop)
+        else:
+            assert int(apply(x, deep, crop).s.max()) == 4 * half
+    # per-member counts take the same path: summed over k, then box-summed
+    s[0, 1] -= 1
+    deep = Bank(np.zeros((1, 2, 2)), s)
+    assert np.array_equal(apply(x, deep, "full").s, reference_composite(x, deep).s)
+
+
+@pytest.mark.parametrize("fill", ["replicate", "fuzzy"])
+@pytest.mark.parametrize("stride", [1, 2, 3, (1, 3), (3, 2)])
+def test_layer_bank_taps_do_not_change_its_meaning(tmp_path, fill, stride):
+    # a layer bank convolves through its taps; a plain Bank of the same g
+    # and s convolves its resized grid.  Both mean the same bank.
+    rng = np.random.default_rng(25)
+    layer = LayerSpec("l", rng.uniform(0, 1, (3, 2, 2, 3)), stride)
+    taps = layer_to_bank(layer, fill)
+    plain = Bank(taps.g, taps.s)
+    inputs = [random_input(rng, channels=2, shape=(5, 4))]
+    inputs.append(random_bank(rng, m=2, c=3, shape=(4, 5), max_count=3, g_range=(0, 1)))
+    right = random_bank(rng, m=2, c=3, shape=(3, 2), max_count=3, g_range=(0, 1))
+    pairs = [((x, taps), (x, plain)) for x in inputs]
+    pairs.append(((taps, right), (plain, right)))
+    for (a, b), (twin_a, twin_b) in pairs:
+        full = tuple(x + y - 1 for x, y in zip(a.spatial_shape, b.spatial_shape))
+        # the window drops an entry at the low end and two at the high end
+        for w in (None, tuple(slice(1, n - 2) for n in full)):
+            twin = composite_convolve(twin_a, twin_b, w)
+            report = compare_banks(twin, composite_convolve(a, b, w), 4 * np.finfo(float).eps)
+            assert report.count_mismatches == 0 and report.passed, report
+    # crops and files hold only g and s
+    path = tmp_path / "layer.ghne"
+    save_epitome(taps, path)
+    loaded, cropped = load_epitome(path), crop_bank(taps, (1, 2), "same")
+    assert loaded._taps is None and cropped._taps is None
+    assert loaded == plain and cropped == crop_bank(plain, (1, 2), "same")
+
+
+def test_layer_bank_contracts_its_taps(monkeypatch):
+    # the gathered operand holds k * |K| rows, the taps of a 2x3 kernel,
+    # not the 4x9 resized grid; the counts need no matrix product
+    depths = []
+    matmul = np.matmul
+
+    def spy(x, y):
+        depths.append((y.dtype, y.shape[1]))
+        return matmul(x, y)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    rng = np.random.default_rng(26)
+    layer = LayerSpec("l", rng.uniform(0, 1, (8, 2, 2, 3)), (2, 3))
+    x = random_input(rng, channels=2, shape=(6, 6))
+    for fill in ("replicate", "fuzzy"):
+        depths.clear()
+        composite_convolve(x, layer_to_bank(layer, fill))
+        assert set(depths) == {(np.dtype(np.float64), 2 * 6)}
+    depths.clear()
+    bank = layer_to_bank(layer)
+    composite_convolve(x, Bank(bank.g, bank.s))
+    assert set(depths) == {(np.dtype(np.float64), 2 * 36)}
 
 
 # --- effective shape and collapse -------------------------------------------

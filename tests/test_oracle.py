@@ -8,6 +8,7 @@ from ghne import (
     CountOverflowError,
     LayerSpec,
     Model,
+    collapse,
     composite_convolve,
     convolve,
     ghd,
@@ -334,6 +335,42 @@ def test_collapse_precision_on_deep_stacks(rank, depth, extent, weight_range, to
         report = check_equivalence(model, x, tol=tol)
         assert report.count_mismatches == 0
         assert report.passed, report
+
+
+def _strided_stack(rng, rank):
+    # 2-3 layers of 1-4 channels, kernels of 1-3 and strides of 1-3 per
+    # axis, the second layer strided on at least one axis
+    widths = [int(rng.integers(1, 5)) for _ in range(int(rng.integers(3, 5)))]
+    layers = []
+    for i in range(len(widths) - 1):
+        kernel = tuple(int(rng.integers(1, 4)) for _ in range(rank))
+        stride = [int(rng.integers(1, 4)) for _ in range(rank)]
+        if i == 1 and max(stride) == 1:
+            stride[int(rng.integers(rank))] = int(rng.integers(2, 4))
+        w = rng.uniform(0, 1, (widths[i + 1], widths[i]) + kernel)
+        layers.append(LayerSpec(f"conv{i + 1}", w, tuple(stride)))
+    return Model(layers)
+
+
+@pytest.mark.parametrize("fill", ["replicate", "fuzzy"])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_stride_fills_match_the_oracle(fill, rank):
+    # collapse contracts a strided layer through its taps (boxed for
+    # replicate, zero-extended for fuzzy); the oracle convolves the
+    # resized kernels entry by entry
+    rng = np.random.default_rng([rank, len(fill)])
+    for _ in range(6):
+        model = _strided_stack(rng, rank)
+        x = random_input(rng, model.layers[0].in_channels, tuple(rng.choice([1, 3, 5, 7], rank)))
+        report = check_equivalence(model, x, fill=fill)
+        assert report.count_mismatches == 0 and report.passed, report
+        # a fold that starts at the strided second layer
+        banks = [layer_to_bank(layer, fill) for layer in model.layers[1:]]
+        reference = banks[0]
+        for bank in banks[1:]:
+            reference = reference_composite(reference, bank)
+        report = compare_banks(reference, collapse(model, first_layer=2, fill=fill).bank, 1e-9)
+        assert report.count_mismatches == 0 and report.passed, report
 
 
 @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])

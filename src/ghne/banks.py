@@ -74,7 +74,9 @@ class Bank(_PairGrid):
     then one read-only int64 grid broadcast to (m, c, *spatial), which
     bank_convolve contracts once instead of m * c times.  _PairGrid's
     rule finds them over the two member axes: from the strides of a
-    broadcast, else by comparing dense counts once.
+    broadcast, else by comparing dense counts once.  A composite_convolve
+    result keeps the kernel's counts as they come: one grid whenever
+    each operand's counts are one grid.
 
     A bank from layer_to_bank also keeps the taps its resized kernel is
     made of, which composite_convolve passes to the kernel; no other
@@ -103,6 +105,22 @@ class Bank(_PairGrid):
         for x in (g, ones):
             x.setflags(write=False)
         bank.g, bank.s, bank._taps = g, np.broadcast_to(ones, g.shape), taps
+        return bank
+
+    @classmethod
+    def _of_convolution(cls, g, s):
+        """The bank of a kernel result: g as it is, s the kernel's int64 broadcast counts.
+
+        The kernel has made g for this bank alone and counted s exactly,
+        each count >= 1 over a window inside the full output, so neither
+        is copied or checked again; only a g past float64's range is
+        named.
+        """
+        if not np.all(np.isfinite(g)):
+            raise ValueError(f"non-finite g value in {cls._NAME}")
+        g.setflags(write=False)
+        bank = cls.__new__(cls)
+        bank.g, bank.s, bank._taps = g, s, None
         return bank
 
     @property
@@ -300,8 +318,11 @@ def composite_convolve(a: Bank, b: Bank, window=None) -> Bank:
     convolve(a[k, j], b[i, k]), so the result has m = b.m, c = a.c, and
     the full-convolution spatial shape, all from one bank_convolve call.
     window, one slice per spatial axis of that full shape, computes only
-    the entries it selects; None computes them all.  A layer bank's
-    taps go to the kernel along with it, on either side.
+    the entries it selects; None computes them all.  Anything but a
+    non-empty slice(start, stop) of integers inside its axis's full
+    extent raises ValueError before anything is computed.  A layer
+    bank's taps go to the kernel along with it, on either side.  The
+    result holds the kernel's arrays themselves, read-only.
     """
     if a.rank != b.rank:
         raise ValueError(f"spatial rank mismatch: {a.rank} vs {b.rank}")
@@ -310,7 +331,7 @@ def composite_convolve(a: Bank, b: Bank, window=None) -> Bank:
             f"bank mismatch: left bank has m={a.m} epitomes but "
             f"right bank expects c={b.c} channels"
         )
-    return Bank(*_bank_convolve(a.g, a.s, b.g, b.s, window, a._taps, b._taps))
+    return Bank._of_convolution(*_bank_convolve(a.g, a.s, b.g, b.s, window, a._taps, b._taps))
 
 
 def effective_shape(layers) -> tuple[int, ...]:

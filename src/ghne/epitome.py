@@ -17,8 +17,8 @@ Under t = s - 2g the merge is a plain product, t_out = t * t', just as
 t(x) = 1 - 2x turns the scalar GHD into multiplication.  bank_convolve
 uses that to evaluate a whole bank contraction as two plain
 convolutions, one for t and one for the counts, each a windowed matrix
-product (im2col), batched over output rows, that runs in BLAS; counts
-against an all-ones operand are box sums instead.
+product (im2col), batched over groups of output rows, that runs in
+BLAS; counts against an all-ones operand are box sums instead.
 
 Counts are stored as int64, never floats, so they stay exact (a count
 that would not fit raises CountOverflowError); g values are float64.
@@ -44,7 +44,8 @@ _INT64_MAX = 2**63 - 1
 # larger ones raise peak memory.
 _IM2COL_ENTRIES = 2**19
 # OpenBLAS runs a matrix product of at most this many multiply-adds on
-# the calling thread, and splits a larger one across its threads.
+# the calling thread, and splits a larger one across its threads;
+# bank_convolve makes each product as many output rows wide as fit.
 _ONE_THREAD_WORK = 2**18
 
 __all__ = [
@@ -201,12 +202,22 @@ def bank_convolve(ga, sa, gb, sb, window=None):
     convolution of a[k, j] with b[i, k], whose spatial shape is A + B - 1.
     window, one slice per spatial axis in those full-output coordinates
     (None for all of it), selects the entries computed and returned, so
-    the result (g, s) has shape (m, c, *window extents).  Both parts are
+    the result (g, s) has shape (m, c, *window extents); each slice must
+    be slice(start, stop), of integers, non-empty and inside the full
+    extent of its axis.  Both parts are
     the same contraction: with T = s - 2g,
 
         T_out = sum_k conv(T_a[k, j], T_b[i, k])
         s_out = sum_k conv(s_a[k, j], s_b[i, k])    (exact)
         g_out = (s_out - T_out) / 2
+              = sum_k conv(T_a[k, j], -T_b[i, k] / 2) + s_out / 2
+
+    The second form is the one computed: b's side of the product
+    carries the -1/2 (g_b - s_b / 2 is -T_b / 2 exactly), so the product
+    lands in the array returned as g, and one in-place addition of
+    s_out / 2, from the count grid before it is broadcast, finishes it.
+    Halving is exact in float64, so g has the bits of (s_out - T_out) / 2
+    outside the subnormal range.
 
     Each contraction is one windowed matrix product (im2col): a is
     zero-padded by B_i - 1 on both ends of each axis and sliced to the
@@ -222,21 +233,28 @@ def bank_convolve(ga, sa, gb, sb, window=None):
     most _IM2COL_ENTRIES entries (or one row, if a row alone holds
     more), which bounds the memory of a large apply.
 
-    The matmul is batched: while a row's product is small, every output
-    row is its own (k * |B|) x (c * |rest|) matrix product of at most
-    _ONE_THREAD_WORK multiply-adds, which OpenBLAS runs on the calling
-    thread.  The benchmark's fold and apply products (1e5 to 2e5
-    multiply-adds) are of this kind.  As one threaded product per chunk,
-    the second BLAS thread spun a whole CPU between calls: on 2 CPUs,
-    collapse of a 1-16-32-32 stack ran about 20% slower, and its rate
-    spread 4 times wider from run to run.  A larger row, as in collapse
-    of a 1-32-64 stack of 5x5 kernels, gets one product per chunk, which
-    the threads speed up.  A call repeats bit for bit.  Per-row products
-    do not depend on the chunk size; a chunk-wide product may round g
-    differently in the last bits for a different chunk size, never the
-    counts.  A narrower window narrows each row's product, which may
-    round g differently in the last bit from the same entries of the
-    whole output (at most 1.8e-16 relative on the models measured).
+    The matmul is batched over output channels and over groups of
+    output rows: each product is m x (k * |B|) by (k * |B|) x (rows *
+    |rest|), for one channel and as many rows as divide the window's
+    rows evenly while the product stays within _ONE_THREAD_WORK
+    multiply-adds, which OpenBLAS runs on the calling thread.  The
+    benchmark's fold and apply products are of this kind: a 28x28 apply
+    of a 32x1x10x10 deep epitome runs 14 products of 2 rows, where 28
+    one-row products took about 25% longer.  As one threaded product per
+    chunk, the second BLAS thread spun a whole CPU between calls: on 2
+    CPUs, collapse of a 1-16-32-32 stack ran about 20% slower, and its
+    rate spread 4 times wider from run to run.  A row of more work, as
+    in collapse of a 1-32-64 stack of 5x5 kernels, gets one product per
+    chunk and channel, which the threads speed up.  Every product writes
+    its m x (rows * |rest|) block straight into the result, through a
+    view whose rows have unit stride, so nothing is copied after it.  A
+    call repeats bit for bit.  Chunks hold whole products, so products
+    of a few rows do not depend on the chunk size; a chunk-wide product
+    may round g differently in the last bits for a different chunk
+    size, never the counts.  A narrower window narrows each product,
+    which may round g differently in the last bit from the same entries
+    of the whole output (at most 1.8e-16 relative on the models
+    measured).
 
     A stride-resized layer bank (see banks.layer_to_bank) keeps its
     taps, the K-entry kernel of T = 1 - 2w it was resized from, and
@@ -268,7 +286,7 @@ def bank_convolve(ga, sa, gb, sb, window=None):
     the int64 maximum raises CountOverflowError, which the CLI reports
     with exit code 2.
 
-    g = (s - T) / 2 has an absolute error of about eps * s, so g keeps
+    g = s / 2 - T / 2 has an absolute error of about eps * s, so g keeps
     its relative precision only while |g| / s is not much below 1:
     counts near 2**30 with g/s near 5e-10 were measured 7.7e-8 off the
     additive reference.  Data in [0, 1] stays far inside the 1e-9 gate.
@@ -296,6 +314,7 @@ def _bank_convolve(ga, sa, gb, sb, window, taps_a, taps_b):
     """bank_convolve, given the _Taps (or None) of each operand."""
     (k, c), grid_a = ga.shape[:2], ga.shape[2:]
     m, grid_b = gb.shape[0], gb.shape[2:]
+    window = _checked_window(window, tuple(x + y - 1 for x, y in zip(grid_a, grid_b)))
     size_a, size_b = (
         math.prod(grid if taps is None else taps.w.shape[2:])
         for grid, taps in ((grid_a, taps_a), (grid_b, taps_b))
@@ -306,31 +325,63 @@ def _bank_convolve(ga, sa, gb, sb, window, taps_a, taps_b):
         taps = (None if x is None else x._replace(w=x.w.swapaxes(0, 1)) for x in (taps_b, taps_a))
         g, s = _bank_convolve(*swapped, window, *taps)
         return g.swapaxes(0, 1), s.swapaxes(0, 1)
-    if window is None:
-        window = tuple(slice(0, x + y - 1) for x, y in zip(grid_a, grid_b))
     ta = sa - 2.0 * ga
+    # the kernel side carries the -1/2 (exactly: gb - sb/2 = -T_b/2), so the
+    # product is -T/2, already in the array that is returned as g
     if taps_b is None:
-        t = _contract(ta, sb - 2.0 * gb, window, np.float64, (1,) * len(window))
+        g = _contract(ta, gb - 0.5 * sb, window, np.float64, (1,) * len(window))
     else:
-        t = _tap_contract(ta, taps_b, window)
-    s = np.broadcast_to(_int64_counts(_counts(sa, sb, window)), t.shape)
-    return 0.5 * (s - t), s
+        g = _tap_contract(ta, taps_b, window)
+    s = _int64_counts(_counts(sa, sb, window))
+    g += 0.5 * s
+    return g, np.broadcast_to(s, g.shape)
+
+
+def _checked_window(window, full):
+    """window as slices of Python ints inside the full output extents, all of it for None.
+
+    Anything but one slice(start, stop) per axis, of integers with
+    0 <= start < stop <= the axis's full extent, raises ValueError
+    naming the axis and that extent.
+    """
+    if window is None:
+        return tuple(slice(0, n) for n in full)
+    window = tuple(window)
+    if len(window) != len(full):
+        raise ValueError(
+            f"window has {len(window)} slices for the {len(full)} axes of the full output {full}"
+        )
+    checked = []
+    for axis, (w, n) in enumerate(zip(window, full)):
+        try:
+            start, stop = operator.index(w.start), operator.index(w.stop)
+            inside = w.step is None and 0 <= start < stop <= n
+        except (AttributeError, TypeError):
+            inside = False
+        if not inside:
+            raise ValueError(
+                f"window {w!r} on axis {axis} is not slice(start, stop) with integers "
+                f"0 <= start < stop <= {n}, the full extent"
+            )
+        checked.append(slice(start, stop))
+    return tuple(checked)
 
 
 def _tap_contract(ta, taps, window):
-    """sum_k conv(ta[k, j], T[i, k]) over the window, T the resized kernel of taps."""
-    tb = 1.0 - 2.0 * taps.w
+    """sum_k conv(ta[k, j], -T[i, k] / 2) over the window, T the resized kernel of taps."""
+    # -T_w / 2 of the taps, exactly
+    kb = taps.w - 0.5
     if taps.fill == "replicate":
         ta = _box(ta, taps.stride)
-    # conv(ta, dilate(tb)) ends here; the fuzzy kernel's zero tail extends it
-    ends = tuple(x + (y - 1) * d for x, y, d in zip(ta.shape[2:], tb.shape[2:], taps.stride))
+    # conv(ta, dilate(kb)) ends here; the fuzzy kernel's zero tail extends it
+    ends = tuple(x + (y - 1) * d for x, y, d in zip(ta.shape[2:], kb.shape[2:], taps.stride))
     inner = tuple(slice(w.start, min(w.stop, e)) for w, e in zip(window, ends))
-    if inner == tuple(window):
-        return _contract(ta, tb, window, np.float64, taps.stride)
-    t = np.zeros((tb.shape[0], ta.shape[1]) + tuple(w.stop - w.start for w in window))
+    if inner == window:
+        return _contract(ta, kb, window, np.float64, taps.stride)
+    t = np.zeros((kb.shape[0], ta.shape[1]) + tuple(w.stop - w.start for w in window))
     if all(x.start < x.stop for x in inner):
         head = (slice(None), slice(None)) + tuple(slice(0, x.stop - x.start) for x in inner)
-        t[head] = _contract(ta, tb, inner, np.float64, taps.stride)
+        t[head] = _contract(ta, kb, inner, np.float64, taps.stride)
     return t
 
 
@@ -395,7 +446,10 @@ def _contract(a, b, window, dtype, step):
 
     The windowed matrix product of bank_convolve for one pair of
     operands, a (k, c, *A) windowed with the grid of b (m, k, *B) spread
-    step apart per axis (1 everywhere for b's own grid).
+    step apart per axis (1 everywhere for b's own grid).  Each chunk of
+    output rows is gathered as (products, c, k * |B|, rows * |rest|) and
+    multiplied into its own rows of the returned array, so every entry
+    is written once; the gathered copy is freed before the next chunk's.
     """
     (k, c), grid_a = a.shape[:2], a.shape[2:]
     m, grid_b = b.shape[0], b.shape[2:]
@@ -418,33 +472,40 @@ def _contract(a, b, window, dtype, step):
     # (flipped) operand in numpy's own loop instead of BLAS
     pb = np.ascontiguousarray(b[flip], dtype=dtype).reshape(m, -1)
     out_grid = tuple(w.stop - w.start for w in window)
-    rest = out_grid[1:]
-    depth, row_width = k * math.prod(grid_b), c * math.prod(rest)
-    chunk = max(1, _IM2COL_ENTRIES // (depth * row_width))
-    # rows per matrix product: one while a row's product stays on the
-    # calling thread, else the whole chunk
-    per_product = 1 if m * depth * row_width <= _ONE_THREAD_WORK else chunk
+    rows, rest = out_grid[0], out_grid[1:]
+    depth, width = k * math.prod(grid_b), math.prod(rest)
+    # rows per matrix product: the most that divide the rows evenly and
+    # stay on the calling thread, else (one row alone is more) a whole chunk
+    most = min(rows, _ONE_THREAD_WORK // (m * depth * width))
+    chunk = max(1, _IM2COL_ENTRIES // (depth * c * width))
+    if most:
+        per_product = next(n for n in range(most, 0, -1) if rows % n == 0)
+        # whole products per chunk, so the cap never moves a product boundary
+        chunk = max(1, chunk // per_product) * per_product
+    else:
+        per_product = chunk
     # window axes (k, c, products, rows per product, *rest, *B) as
-    # (products, k, *B, c, rows per product, *rest)
-    order = (2, 0, *range(3 + rank, 3 + 2 * rank), 1, 3, *range(4, 3 + rank))
+    # (products, c, k, *B, rows per product, *rest)
+    order = (2, 1, 0, *range(3 + rank, 3 + 2 * rank), 3, *range(4, 3 + rank))
 
-    def products(windows):
-        # (m, c, rows, *rest); all else is freed on return.  Keeping a
-        # product alive while the next copy was gathered raised the peak
-        # memory of a 64x64 apply by 3 MiB.
+    def products(windows, target):
+        # the gathered copy is freed on return, before the next chunk's is
+        # gathered; keeping it alive raised the traced peak of a 64x64 rgb
+        # apply from 4.8 to 6.9 MiB
         n = windows.shape[2]
-        per = min(per_product, n)
-        split = windows.reshape((k, c, n // per, per) + windows.shape[3:])
-        gathered = split.transpose(order).reshape(n // per, depth, -1)
-        product = np.matmul(pb, gathered).reshape((n // per, m, c, per) + rest)
-        return np.moveaxis(product, 0, 2).reshape((m, c, n) + rest)
+        count = n // min(per_product, n)
+        split = windows.reshape((k, c, count, n // count) + windows.shape[3:])
+        gathered = split.transpose(order).reshape(count, c, depth, -1)
+        # target (m, c, n, *rest) as (products, c, m, rows * |rest|): a view
+        # whose every matrix has a unit inner stride, so BLAS writes it in place
+        np.matmul(pb, gathered, out=target.reshape(m, c, count, -1).transpose(2, 1, 0, 3))
 
     out = np.empty((m, c) + out_grid, dtype=dtype)
     windows = np.lib.stride_tricks.sliding_window_view(pa, span, axis=tuple(range(2, 2 + rank)))
     windows = windows[(Ellipsis,) + tuple(slice(None, None, d) for d in step)]
-    for r in range(0, out_grid[0], chunk):
-        rows = (slice(None), slice(None), slice(r, r + chunk))
-        out[rows] = products(windows[rows])
+    for r in range(0, rows, chunk):
+        part = (slice(None), slice(None), slice(r, r + chunk))
+        products(windows[part], out[part])
     return out
 
 

@@ -1,5 +1,7 @@
 """Banks, stride resizing, composite convolution, collapse, apply."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -370,15 +372,17 @@ def test_composite_is_associative_on_banks():
 def windowed(monkeypatch):
     """Record (dtype, product count, rows of the flipped operand) of every np.matmul call.
 
-    The dtype and product count are the windowed operand's; the flipped
-    operand has one row per output filter, or one for a shared count grid.
+    The dtype and product count are the windowed operand's, gathered as
+    (products, c, depth, columns), each product batched over the c
+    channels; the flipped operand has one row per output filter, or one
+    for a shared count grid.
     """
     seen = []
     matmul = np.matmul
 
-    def spy(x, y):
+    def spy(x, y, out=None):
         seen.append((y.dtype, y.shape[0], x.shape[0]))
-        return matmul(x, y)
+        return matmul(x, y, out=out)
 
     monkeypatch.setattr(np, "matmul", spy)
     return seen
@@ -388,7 +392,8 @@ def windowed(monkeypatch):
 def test_composite_row_chunks_are_bit_equal_to_one_chunk(monkeypatch, windowed, count_type):
     # a (2, 2, 4x3) is windowed with b's 5x2 grid; its 8 output rows gather
     # 160 entries each, so a 500-entry cap gives chunks of 3, 3 and 2 rows
-    # and a 1-entry cap one chunk per row
+    # and a 1-entry cap one chunk per row, where a product is no wider.
+    # A row's product is 3 x 20 x 4 = 240 multiply-adds.
     rng = np.random.default_rng(16)
     shape_a, shape_b = (2, 2, 4, 3), (3, 2, 5, 2)
     if count_type == "float64":
@@ -405,19 +410,25 @@ def test_composite_row_chunks_are_bit_equal_to_one_chunk(monkeypatch, windowed, 
     # so no summation order can change a bit; the 2**31 counts get T = 0
     a, b = (Bank(s * np.where(s > 2**26, 4, rng.integers(0, 9, s.shape)) / 8, s) for s in (sa, sb))
     one_chunk = composite_convolve(a, b)
-    # per-row products, then one product per chunk
-    for one_thread_work in (epitome._ONE_THREAD_WORK, 0):
+    # one product of all 8 rows in every chunk; products of the 2 rows
+    # that divide 8 and fit in 3 rows' work, whole products per chunk; one
+    # product per chunk
+    chunks = {
+        epitome._ONE_THREAD_WORK: {2**19: 1, 500: 1, 1: 1},
+        3 * 240: {2**19: 1, 500: 4, 1: 4},
+        0: {2**19: 1, 500: 3, 1: 8},
+    }
+    for one_thread_work, by_cap in chunks.items():
         monkeypatch.setattr(epitome, "_ONE_THREAD_WORK", one_thread_work)
-        for cap in (2**19, 500, 1):
+        for cap, n in by_cap.items():
             monkeypatch.setattr(epitome, "_IM2COL_ENTRIES", cap)
             windowed.clear()
             assert composite_convolve(a, b) == one_chunk
-            # one T and one count contraction per chunk, of one product per
-            # row or per chunk
+            # one T and one count contraction per chunk
             assert np.dtype(count_type) in {dtype for dtype, *_ in windowed}
-            assert len(windowed) == (2 if cap == 2**19 else 6 if cap == 500 else 16)
+            assert len(windowed) == 2 * n
             products = sum(n for _, n, _ in windowed) // 2
-            assert products == (8 if one_thread_work else len(windowed) // 2)
+            assert products == {epitome._ONE_THREAD_WORK: 1, 3 * 240: 4, 0: n}[one_thread_work]
     ref = reference_composite(a, b)
     assert np.array_equal(ref.s, one_chunk.s)
     assert compare_banks(ref, one_chunk, tol=1e-12).passed
@@ -629,9 +640,9 @@ def test_layer_bank_contracts_its_taps(monkeypatch):
     depths = []
     matmul = np.matmul
 
-    def spy(x, y):
-        depths.append((y.dtype, y.shape[1]))
-        return matmul(x, y)
+    def spy(x, y, out=None):
+        depths.append((y.dtype, y.shape[-2]))
+        return matmul(x, y, out=out)
 
     monkeypatch.setattr(np, "matmul", spy)
     rng = np.random.default_rng(26)
@@ -645,6 +656,152 @@ def test_layer_bank_contracts_its_taps(monkeypatch):
     bank = layer_to_bank(layer)
     composite_convolve(x, Bank(bank.g, bank.s))
     assert set(depths) == {(np.dtype(np.float64), 2 * 36)}
+
+
+# --- the kernel writes g once ----------------------------------------------
+
+
+def _window_operands(swap, taps):
+    # no swap: a 2x(4x3) input windowed with a layer's 2x2 taps, stride 2;
+    # swap: a layer of 1x1 taps, stride (2, 1), is the kernel of a 3x(2x2)
+    # bank, since c * |B| = 2 * 4 > m * |K| = 1
+    rng = np.random.default_rng(27)
+    if swap:
+        layer = layer_to_bank(LayerSpec("l", rng.uniform(0, 1, (3, 2, 1, 1)), (2, 1)))
+        pair = [layer, random_bank(rng, m=1, c=3, shape=(2, 2), max_count=3, g_range=(0, 1))]
+    else:
+        layer = layer_to_bank(LayerSpec("l", rng.uniform(0, 1, (3, 2, 2, 2)), 2))
+        pair = [random_input(rng, channels=2, shape=(4, 3)), layer]
+    if not taps:
+        pair = [Bank(x.g, x.s) for x in pair]
+    return pair
+
+
+@pytest.mark.parametrize("taps", [True, False], ids=["taps", "plain"])
+@pytest.mark.parametrize("swap", [False, True], ids=["as-is", "swapped"])
+def test_composite_window_must_lie_in_the_full_output(monkeypatch, swap, taps):
+    a, b = _window_operands(swap, taps)
+    n0, n1 = (x + y - 1 for x, y in zip(a.spatial_shape, b.spatial_shape))
+    whole = composite_convolve(a, b)
+    # numpy integers are integers
+    assert composite_convolve(a, b, (slice(0, n0), slice(np.int64(0), np.int64(n1)))) == whole
+    assert composite_convolve(a, b, (slice(1, n0), slice(0, 1))).spatial_shape == (n0 - 1, 1)
+
+    def kernel_ran(*args):
+        raise AssertionError("the kernel ran before the window was checked")
+
+    for name in ("_contract", "_tap_contract", "_counts"):
+        monkeypatch.setattr(epitome, name, kernel_ran)
+    bad = [
+        ((slice(-1, n0), slice(0, n1)), f"axis 0 .* <= {n0}, the full extent$"),
+        ((slice(0, n0 + 1), slice(0, n1)), f"axis 0 .* <= {n0}, the full extent$"),
+        ((slice(0, n0), slice(2, 2)), f"axis 1 .* <= {n1}, the full extent$"),
+        ((slice(0, n0), slice(3, 1)), f"axis 1 .* <= {n1}, the full extent$"),
+        ((slice(0, n0, 2), slice(0, n1)), f"axis 0 .* <= {n0}, the full extent$"),
+        ((slice(0, n0), slice(0.5, n1)), f"axis 1 .* <= {n1}, the full extent$"),
+        ((slice(0, n0), slice(None)), f"axis 1 .* <= {n1}, the full extent$"),
+        ((slice(0, n0), 3), f"axis 1 .* <= {n1}, the full extent$"),
+        ((slice(0, n0),), rf"^window has 1 slices for the 2 axes of the full output \({n0}, {n1}\)$"),
+        ((slice(0, n0),) * 3, rf"^window has 3 slices for the 2 axes of the full output \({n0}, {n1}\)$"),
+    ]
+    for window, message in bad:
+        with pytest.raises(ValueError, match=message):
+            composite_convolve(a, b, window)
+
+
+@pytest.mark.parametrize("one_thread_work", [epitome._ONE_THREAD_WORK, 0], ids=["rows", "chunk"])
+def test_contract_scales_by_minus_half_exactly(monkeypatch, one_thread_work):
+    # -1/2 on the kernel side scales every product and partial sum by a
+    # power of two, so g comes out bit for bit as (s - T) / 2 did
+    monkeypatch.setattr(epitome, "_ONE_THREAD_WORK", one_thread_work)
+    rng = np.random.default_rng(28)
+    for rank in (1, 2, 3, 1, 2, 3):
+        k, c, m = rng.integers(1, 5, 3)
+        grid_a, grid_b = (tuple(rng.integers(1, 7 - rank, rank)) for _ in range(2))
+        step = tuple(rng.integers(1, 3, rank))
+        ta = rng.uniform(-3, 3, (k, c) + grid_a)
+        tb = rng.uniform(-3, 3, (m, k) + grid_b)
+        window = tuple(slice(0, x + (y - 1) * d) for x, y, d in zip(grid_a, grid_b, step))
+        half = epitome._contract(ta, -0.5 * tb, window, np.float64, step)
+        assert np.array_equal(half, -0.5 * epitome._contract(ta, tb, window, np.float64, step))
+
+
+def test_products_of_several_rows_are_bit_equal_across_chunk_caps(monkeypatch):
+    # a row's product is 16 x 100 x 44 multiply-adds, so 4 of the 44 rows
+    # make a product, and every cap gathers whole products
+    rng = np.random.default_rng(29)
+    a = random_bank(rng, m=4, c=1, shape=(40, 40), max_count=3, g_range=(0, 1))
+    b = random_bank(rng, m=16, c=4, shape=(5, 5), max_count=3, g_range=(0, 1))
+    expected = composite_convolve(a, b)
+    for cap in (2**19, 500, 1):
+        monkeypatch.setattr(epitome, "_IM2COL_ENTRIES", cap)
+        assert composite_convolve(a, b) == expected
+    ref = reference_composite(a, b)
+    assert np.array_equal(ref.s, expected.s)
+    assert compare_banks(ref, expected, tol=1e-12).passed
+
+
+def test_t_products_land_in_the_result(monkeypatch):
+    targets = []
+    matmul = np.matmul
+
+    def spy(x, y, out=None):
+        targets.append(out)
+        return matmul(x, y, out=out)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    rng = np.random.default_rng(30)
+    deep = random_bank(rng, m=3, c=2, shape=(4, 3), max_count=3, g_range=(0, 1))
+    swapped_input = normalized_input(rng, 1, 4, (5, 6))
+    swapped_deep = random_bank(rng, m=1, c=1, shape=(4, 2), max_count=3, g_range=(0, 1))
+    first = LayerSpec("a", rng.uniform(0, 1, (4, 2, 3, 3)))
+    strided = Model([first, LayerSpec("b", rng.uniform(0, 1, (3, 4, 2, 2)), 2)])
+    plain = Model([first, LayerSpec("b", rng.uniform(0, 1, (3, 4, 2, 2)))])
+    # counts against normalized inputs and layers are box sums, so every
+    # product is a T product; the fuzzy fill of a strided layer assigns
+    # its product into a larger array instead, for the zero tail
+    runs = [
+        lambda: apply(normalized_input(rng, 2, 1, (9, 8)), deep, "same"),
+        lambda: apply(normalized_input(rng, 2, 1, (9, 8)), deep, "full"),
+        lambda: apply(swapped_input, swapped_deep, "valid"),
+        lambda: collapse(strided).bank,
+        lambda: collapse(plain, fill="fuzzy").bank,
+    ]
+    for run in runs:
+        targets.clear()
+        out = run()
+        assert targets and all(t is not None and np.shares_memory(t, out.g) for t in targets)
+
+
+def test_apply_peak_memory_is_one_chunk_and_the_result():
+    # an rgb-shaped 16x3x8x8 deep epitome on a 3x64x64 input gathers two
+    # chunks; holding the first while the second was gathered took the
+    # traced peak from 4.8 to 6.9 MiB
+    rng = np.random.default_rng(31)
+    x = normalized_input(rng, 3, 1, (64, 64))
+    grid = np.full((1, 1, 8, 8), 9, dtype=np.int64)
+    deep = Bank(rng.uniform(0, 9, (16, 3, 8, 8)), np.broadcast_to(grid, (16, 3, 8, 8)))
+    tracemalloc.start()
+    try:
+        out = apply(x, deep, "same")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk = 8 * epitome._IM2COL_ENTRIES
+    assert peak < chunk + out.g.nbytes + x.g.nbytes + 512 * 1024
+
+
+def test_convolution_result_keeps_the_checks_it_needs():
+    layer = LayerSpec("a", [[[1e308, -1e308]]])
+    bank = layer_to_bank(layer)
+    with pytest.raises(ValueError, match="^non-finite g value in bank$"):
+        composite_convolve(bank, layer_to_bank(LayerSpec("b", layer.weights)))
+    rng = np.random.default_rng(32)
+    out = composite_convolve(random_input(rng, 2, (4, 3)), random_bank(rng, 3, 2, (2, 2)))
+    for x in (out.g, out.s):
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0, 0, 0, 0] = 1
 
 
 # --- effective shape and collapse -------------------------------------------

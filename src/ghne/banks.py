@@ -82,16 +82,29 @@ class Bank(_PairGrid):
     made of, which composite_convolve passes to the kernel; no other
     bank has them, so a copy, crop or saved file is a plain bank with
     the same g and s.
+
+    A bank whose counts are one grid also remembers the last count grid
+    it produced in composite_convolve against an operand whose counts
+    are all 1, as every apply's normalized input and every fold step's
+    layer are.  That grid is the bank's counts box-summed over the other
+    operand's grid, so it depends only on the bank's side of the
+    convolution, the other operand's spatial shape, the contracted
+    members and the window; the bank keeps those shapes as the key and
+    no array of the other operand.  Applying one deep epitome to inputs
+    of one shape and crop then contracts only T, and the results share
+    one read-only count grid.  The bound is one window-sized int64
+    grid: a new key replaces it.  Every bank starts with none, so a
+    copy, crop, loaded file or fresh result remembers nothing.
     """
 
-    __slots__ = ("_taps",)
+    __slots__ = ("_taps", "_counted")
     _NAME = "bank"
     _MEMBER_AXES = 2
     _RANK_ERROR = "bank arrays must be (m, c, *spatial) with rank >= 3, got rank {}"
 
     def __init__(self, g, s):
         super().__init__(g, s)
-        self._taps = None
+        self._taps = self._counted = None
 
     @classmethod
     def _of_layer(cls, g, taps):
@@ -104,7 +117,7 @@ class Bank(_PairGrid):
         ones = np.ones((1, 1) + g.shape[2:], dtype=np.int64)
         for x in (g, ones):
             x.setflags(write=False)
-        bank.g, bank.s, bank._taps = g, np.broadcast_to(ones, g.shape), taps
+        bank.g, bank.s, bank._taps, bank._counted = g, np.broadcast_to(ones, g.shape), taps, None
         return bank
 
     @classmethod
@@ -120,7 +133,7 @@ class Bank(_PairGrid):
             raise ValueError(f"non-finite g value in {cls._NAME}")
         g.setflags(write=False)
         bank = cls.__new__(cls)
-        bank.g, bank.s, bank._taps = g, s, None
+        bank.g, bank.s, bank._taps, bank._counted = g, s, None, None
         return bank
 
     @property
@@ -321,7 +334,8 @@ def composite_convolve(a: Bank, b: Bank, window=None) -> Bank:
     the entries it selects; None computes them all.  Anything but a
     non-empty slice(start, stop) of integers inside its axis's full
     extent raises ValueError before anything is computed.  A layer
-    bank's taps go to the kernel along with it, on either side.  The
+    bank's taps go to the kernel along with it, on either side, and an
+    operand may remember the result's count grid (see Bank).  The
     result holds the kernel's arrays themselves, read-only.
     """
     if a.rank != b.rank:
@@ -331,7 +345,7 @@ def composite_convolve(a: Bank, b: Bank, window=None) -> Bank:
             f"bank mismatch: left bank has m={a.m} epitomes but "
             f"right bank expects c={b.c} channels"
         )
-    return Bank._of_convolution(*_bank_convolve(a.g, a.s, b.g, b.s, window, a._taps, b._taps))
+    return Bank._of_convolution(*_bank_convolve(a.g, a.s, b.g, b.s, window, (a, b)))
 
 
 def effective_shape(layers) -> tuple[int, ...]:

@@ -101,10 +101,9 @@ class _PairGrid:
         # checked before the int64 copy, which a Python int below -2**63 overflows
         if np.any(s < 1):
             raise ValueError("every summand count must be >= 1")
-        # one copy, which the frozen arrays below depend on
+        # one read-only copy, which the frozen arrays below depend on
         s = _int64_counts(s)
         g.setflags(write=False)
-        s.setflags(write=False)
         self.g = g
         # shared counts stay one grid; the read-only broadcast copies nothing
         self.s = s if s.shape == g.shape else np.broadcast_to(s, g.shape)
@@ -220,18 +219,19 @@ def bank_convolve(ga, sa, gb, sb, window=None):
     outside the subnormal range.
 
     Each contraction is one windowed matrix product (im2col): a is
-    zero-padded by B_i - 1 on both ends of each axis and sliced to the
-    window plus B_i - 1, so output position p reads padded[p : p + B].
-    The |B| padded entries under every output position are gathered
-    next to it, and a matmul against the spatially flipped b, an
-    m x (k * |B|) matrix, turns the whole convolution into BLAS
-    products.  The gathered copy holds k * c * |B| entries per output
-    position, so a is windowed when c * |B| <= m * |A|, and otherwise
-    the roles swap (convolution commutes; the window, in output
-    coordinates, is the same either way).  The output is produced in
-    chunks of whole rows of its first spatial axis, each gathering at
-    most _IM2COL_ENTRIES entries (or one row, if a row alone holds
-    more), which bounds the memory of a large apply.
+    zero-padded by B_i - 1 on both ends of each axis, so output position
+    p reads padded[p : p + B].  One read-only strided view of the padded
+    buffer, starting at the window, holds those |B| entries for every
+    position in the window; they are gathered next to it, and a matmul
+    against the spatially flipped b, an m x (k * |B|) matrix, turns the
+    whole convolution into BLAS products.  The gathered copy holds
+    k * c * |B| entries per output position, so a is windowed when
+    c * |B| <= m * |A|, and otherwise the roles swap (convolution
+    commutes; the window, in output coordinates, is the same either
+    way).  The output is produced in chunks of whole rows of its first
+    spatial axis, each gathering at most _IM2COL_ENTRIES entries (or one
+    row, if a row alone holds more), which bounds the memory of a large
+    apply.
 
     The matmul is batched over output channels and over groups of
     output rows: each product is m x (k * |B|) by (k * |B|) x (rows *
@@ -270,28 +270,33 @@ def bank_convolve(ga, sa, gb, sb, window=None):
     shifted copies, so g may differ from the dense product in the last
     bit; counts never do.
 
-    When one operand's counts are one grid of 1s, as a layer bank's and
-    a normalized input's are, every output count is the other operand's
-    counts summed over k and box-summed over the first operand's grid:
-    one prefix sum per axis, in int64 when no prefix sum can reach
-    2**63, else in Python ints.  When sa and sb are both one other grid
-    broadcast over the member axes (see _distinct_counts), every output
-    member has the counts k * conv(grid_a, grid_b): the grid pair is
-    contracted with weight k, at 1 / (m c) of the T contraction's cost.
-    Otherwise the per-member arrays are, with weight 1.  Either way
-    counts are contracted in float64 when no partial sum can reach 2**53
-    (each is then an exact integer, in any summation order), else in
-    int64 when none can reach 2**63, else in Python ints.  s is a
-    read-only int64 array broadcast to (m, c, *window).  A count past
-    the int64 maximum raises CountOverflowError, which the CLI reports
-    with exit code 2.
+    Counts are contracted from the operands as given, before any role
+    swap.  When one operand's counts are one grid of 1s, as a layer
+    bank's and a normalized input's are, every output count is the other
+    operand's counts summed over k and box-summed over the first
+    operand's grid: one prefix sum per axis, in int64 when no prefix sum
+    can reach 2**63, else in Python ints.  That grid depends only on the
+    other operand's counts and on shapes, so when that operand is a Bank
+    whose counts are one grid, composite_convolve lets the bank remember
+    it (see banks.Bank); bank_convolve, given arrays, computes it on
+    every call.  When sa and sb are both one other grid broadcast over
+    the member axes (see _distinct_counts), every output member has the
+    counts k * conv(grid_a, grid_b): the grid pair is contracted with
+    weight k, at 1 / (m c) of the T contraction's cost.  Otherwise the
+    per-member arrays are, with weight 1.  Either way counts are
+    contracted in float64 when no partial sum can reach 2**53 (each is
+    then an exact integer, in any summation order), else in int64 when
+    none can reach 2**63, else in Python ints.  s is a read-only int64
+    count array, broadcast to (m, c, *window).  A count past the int64
+    maximum raises CountOverflowError, which the CLI reports with exit
+    code 2.
 
     g = s / 2 - T / 2 has an absolute error of about eps * s, so g keeps
     its relative precision only while |g| / s is not much below 1:
     counts near 2**30 with g/s near 5e-10 were measured 7.7e-8 off the
     additive reference.  Data in [0, 1] stays far inside the 1e-9 gate.
     """
-    return _bank_convolve(ga, sa, gb, sb, window, None, None)
+    return _bank_convolve(ga, sa, gb, sb, window)
 
 
 class _Taps(NamedTuple):
@@ -310,11 +315,23 @@ class _Taps(NamedTuple):
 # a g past float64's range becomes inf or nan without a numpy warning, and
 # the non-finite check of the Bank or Epitome built from it names the failure
 @np.errstate(over="ignore", invalid="ignore")
-def _bank_convolve(ga, sa, gb, sb, window, taps_a, taps_b):
-    """bank_convolve, given the _Taps (or None) of each operand."""
+def _bank_convolve(ga, sa, gb, sb, window, banks=(None, None)):
+    """bank_convolve, given the Bank (or None) each operand is from.
+
+    A bank passes its _Taps to the T contraction and remembers count
+    grids (see _counts); bank_convolve passes none.
+    """
+    window = _checked_window(window, tuple(x + y - 1 for x, y in zip(ga.shape[2:], gb.shape[2:])))
+    g = _half_t(ga, sa, gb, sb, window, *(None if x is None else x._taps for x in banks))
+    s = _counts(sa, sb, window, banks)
+    g += 0.5 * s
+    return g, np.broadcast_to(s, g.shape)
+
+
+def _half_t(ga, sa, gb, sb, window, taps_a, taps_b):
+    """-T_out / 2 over the window, a new float64 array (see bank_convolve)."""
     (k, c), grid_a = ga.shape[:2], ga.shape[2:]
     m, grid_b = gb.shape[0], gb.shape[2:]
-    window = _checked_window(window, tuple(x + y - 1 for x, y in zip(grid_a, grid_b)))
     size_a, size_b = (
         math.prod(grid if taps is None else taps.w.shape[2:])
         for grid, taps in ((grid_a, taps_a), (grid_b, taps_b))
@@ -323,18 +340,13 @@ def _bank_convolve(ga, sa, gb, sb, window, taps_a, taps_b):
         # window b with a's kernel instead, the smaller gathered copy
         swapped = (x.swapaxes(0, 1) for x in (gb, sb, ga, sa))
         taps = (None if x is None else x._replace(w=x.w.swapaxes(0, 1)) for x in (taps_b, taps_a))
-        g, s = _bank_convolve(*swapped, window, *taps)
-        return g.swapaxes(0, 1), s.swapaxes(0, 1)
+        return _half_t(*swapped, window, *taps).swapaxes(0, 1)
     ta = sa - 2.0 * ga
     # the kernel side carries the -1/2 (exactly: gb - sb/2 = -T_b/2), so the
     # product is -T/2, already in the array that is returned as g
     if taps_b is None:
-        g = _contract(ta, gb - 0.5 * sb, window, np.float64, (1,) * len(window))
-    else:
-        g = _tap_contract(ta, taps_b, window)
-    s = _int64_counts(_counts(sa, sb, window))
-    g += 0.5 * s
-    return g, np.broadcast_to(s, g.shape)
+        return _contract(ta, gb - 0.5 * sb, window, np.float64, (1,) * len(window))
+    return _tap_contract(ta, taps_b, window)
 
 
 def _checked_window(window, full):
@@ -401,22 +413,38 @@ def _box(x, widths):
     return x
 
 
-def _counts(sa, sb, window):
-    """sum_k conv(sa[k, j], sb[i, k]) over the window, exact, before the int64 check."""
+def _counts(sa, sb, window, banks):
+    """sum_k conv(sa[k, j], sb[i, k]) over the window: exact, read-only int64 counts.
+
+    When one operand's counts are one grid of 1s (b's are tried first),
+    the output counts are the other's box sums.  If that other operand
+    is a bank, banks[side], whose counts are one grid too, the result
+    depends only on shapes: the bank remembers it, keyed by its side,
+    the all-ones grid's shape, k and the window, in one (key, grid)
+    tuple that a new key replaces.  A CountOverflowError is never
+    remembered.
+    """
     (k, c), grid_a = sa.shape[:2], sa.shape[2:]
     grid_b = sb.shape[2:]
     sa, sb = (_distinct_counts(x, 2, compare=False) for x in (sa, sb))
-    if sb.shape[:2] == (1, 1) and (sb == 1).all():
-        return _box_sums(sa, 0, k, grid_b, window)
-    if sa.shape[:2] == (1, 1) and (sa == 1).all():
-        return _box_sums(sb, 1, k, grid_a, window)
-    weight = k if sa.shape[:2] == sb.shape[:2] == (1, 1) else 1
-    # an output entry sums at most k * prod(min(A_i, B_i)) terms, each at
-    # most max(s_a) * max(s_b), so no weighted partial sum passes the bound
-    terms = k * math.prod(min(x, y) for x, y in zip(grid_a, grid_b))
-    bound = int(sa.max()) * int(sb.max()) * terms
-    count_type = np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
-    return weight * _contract(sa, sb, window, count_type, (1,) * len(window))
+    for side, s, ones, bank in ((1, sb, sa, banks[1]), (0, sa, sb, banks[0])):
+        if ones.shape[:2] == (1, 1) and (ones == 1).all():
+            break
+    else:
+        weight = k if sa.shape[:2] == sb.shape[:2] == (1, 1) else 1
+        # an output entry sums at most k * prod(min(A_i, B_i)) terms, each at
+        # most max(s_a) * max(s_b), so no weighted partial sum passes the bound
+        terms = k * math.prod(min(x, y) for x, y in zip(grid_a, grid_b))
+        bound = int(sa.max()) * int(sb.max()) * terms
+        count_type = np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
+        return _int64_counts(weight * _contract(sa, sb, window, count_type, (1,) * len(window)))
+    if bank is None or s.shape[:2] != (1, 1):
+        return _int64_counts(_box_sums(s, side, k, ones.shape[2:], window))
+    key = (side, ones.shape[2:], k, tuple((w.start, w.stop) for w in window))
+    held = bank._counted
+    if held is None or held[0] != key:
+        held = bank._counted = (key, _int64_counts(_box_sums(s, side, k, ones.shape[2:], window)))
+    return held[1]
 
 
 def _box_sums(s, axis, k, widths, window):
@@ -446,10 +474,12 @@ def _contract(a, b, window, dtype, step):
 
     The windowed matrix product of bank_convolve for one pair of
     operands, a (k, c, *A) windowed with the grid of b (m, k, *B) spread
-    step apart per axis (1 everywhere for b's own grid).  Each chunk of
-    output rows is gathered as (products, c, k * |B|, rows * |rest|) and
-    multiplied into its own rows of the returned array, so every entry
-    is written once; the gathered copy is freed before the next chunk's.
+    step apart per axis (1 everywhere for b's own grid).  a is zero-padded
+    once and read through one strided view (see _window_view).  Each
+    chunk of output rows is gathered from it as (products, c, k * |B|,
+    rows * |rest|) and multiplied into its own rows of the returned
+    array, so every entry is written once; the gathered copy is freed
+    before the next chunk's.
     """
     (k, c), grid_a = a.shape[:2], a.shape[2:]
     m, grid_b = b.shape[0], b.shape[2:]
@@ -463,10 +493,6 @@ def _contract(a, b, window, dtype, step):
     )
     pa = np.zeros(padded, dtype=dtype)
     pa[inner] = a
-    # output position p of the full convolution reads pa[p : p + span : step]
-    pa = pa[(slice(None), slice(None)) + tuple(
-        slice(w.start, w.stop + y - 1) for w, y in zip(window, span)
-    )]
     flip = (slice(None), slice(None)) + (slice(None, None, -1),) * rank
     # b as a contiguous m x (k * |B|) matrix: matmul would run a strided
     # (flipped) operand in numpy's own loop instead of BLAS
@@ -501,12 +527,32 @@ def _contract(a, b, window, dtype, step):
         np.matmul(pb, gathered, out=target.reshape(m, c, count, -1).transpose(2, 1, 0, 3))
 
     out = np.empty((m, c) + out_grid, dtype=dtype)
-    windows = np.lib.stride_tricks.sliding_window_view(pa, span, axis=tuple(range(2, 2 + rank)))
-    windows = windows[(Ellipsis,) + tuple(slice(None, None, d) for d in step)]
+    windows = _window_view(pa, window, grid_b, step)
     for r in range(0, rows, chunk):
         part = (slice(None), slice(None), slice(r, r + chunk))
         products(windows[part], out[part])
     return out
+
+
+def _window_view(padded, window, taps, step):
+    """The read-only view (k, c, *window extents, *taps) of padded (k, c, *grid).
+
+    Output position p of the full convolution reads
+    padded[p : p + span : step], with span = (taps - 1) * step + 1 per
+    axis.  The view starts at the window's first position and steps
+    through padded's own buffer, so nothing is copied; it equals
+    sliding_window_view(padded, span)[window][..., ::step].
+    """
+    spatial = padded.strides[2:]
+    view = np.ndarray(
+        padded.shape[:2] + tuple(w.stop - w.start for w in window) + tuple(taps),
+        padded.dtype,
+        padded,
+        sum(x * w.start for x, w in zip(spatial, window)),
+        padded.strides + tuple(x * d for x, d in zip(spatial, step)),
+    )
+    view.setflags(write=False)
+    return view
 
 
 def _distinct_counts(s, member_axes, compare=True):
@@ -524,7 +570,7 @@ def _distinct_counts(s, member_axes, compare=True):
 
 
 def _int64_counts(s):
-    """Exact counts (float64, signed, unsigned or Python ints) as a new int64 array.
+    """Exact counts (float64, signed, unsigned or Python ints) as a new read-only int64 array.
 
     A count past the int64 maximum raises CountOverflowError.
     """
@@ -532,7 +578,9 @@ def _int64_counts(s):
         raise CountOverflowError(
             f"summand count {s.max()} exceeds the int64 maximum {_INT64_MAX}"
         )
-    return s.astype(np.int64)
+    s = s.astype(np.int64)
+    s.setflags(write=False)
+    return s
 
 
 def convolve(a: Epitome, b: Epitome) -> Epitome:

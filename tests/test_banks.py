@@ -1,6 +1,8 @@
 """Banks, stride resizing, composite convolution, collapse, apply."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -802,6 +804,179 @@ def test_convolution_result_keeps_the_checks_it_needs():
         assert not x.flags.writeable
         with pytest.raises(ValueError):
             x[0, 0, 0, 0] = 1
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, object])
+def test_window_view_is_the_stepped_sliding_window(dtype):
+    rng = np.random.default_rng(33)
+    for rank in (1, 2, 3):
+        for step in (1, 2, 3):
+            taps = tuple(rng.integers(1, 4, rank))
+            span = tuple((y - 1) * step + 1 for y in taps)
+            grid = tuple(x + int(rng.integers(0, 5)) for x in span)
+            padded = rng.integers(-9, 9, (2, 3) + grid).astype(dtype)
+            # any window of the positions a span fits at
+            window = []
+            for n, x in zip(grid, span):
+                start = int(rng.integers(0, n - x + 1))
+                window.append(slice(start, int(rng.integers(start + 1, n - x + 2))))
+            window = tuple(window)
+            view = epitome._window_view(padded, window, taps, (step,) * rank)
+            axes = tuple(range(2, 2 + rank))
+            slid = np.lib.stride_tricks.sliding_window_view(padded, span, axis=axes)
+            expected = slid[(slice(None), slice(None)) + window]
+            expected = expected[(Ellipsis,) + (slice(None, None, step),) * rank]
+            assert view.dtype == padded.dtype and view.shape == expected.shape
+            assert np.array_equal(view, expected) and np.shares_memory(view, padded)
+            with pytest.raises(ValueError, match="read-only"):
+                view[(0,) * view.ndim] = 1
+
+
+# --- count grids a bank remembers -------------------------------------------
+
+
+def _memo_deep():
+    # a 2x1x4x4 deep epitome, whose counts are one grid; the 4x4 grid
+    # leaves a valid crop of every input size below
+    rng = np.random.default_rng(34)
+    model = Model([LayerSpec("a", rng.uniform(0, 1, (3, 1, 3, 3))),
+                   LayerSpec("b", rng.uniform(0, 1, (2, 3, 2, 2)))])
+    return collapse(model).bank
+
+
+@pytest.fixture
+def box_sums(monkeypatch):
+    """Record every box-sum count grid computed: the count path of apply and fold."""
+    calls = []
+    box_sums = epitome._box_sums
+
+    def spy(*args):
+        calls.append(args[3])
+        return box_sums(*args)
+
+    monkeypatch.setattr(epitome, "_box_sums", spy)
+    return calls
+
+
+def test_repeated_applies_equal_memo_less_ones():
+    deep = _memo_deep()
+    rng = np.random.default_rng(35)
+    for px in (5, 7, 28, 33, 28):
+        x = random_input(rng, 1, (px, px))
+        full = reference_composite(x, deep)
+        targets = {"full": full.spatial_shape, "same": (px, px), "valid": (px - 3, px - 3)}
+        for crop in ("full", "same", "valid", "same", "full"):
+            out = apply(x, deep, crop)
+            # a fresh copy remembers nothing when it is applied
+            assert out == apply(x, Bank(deep.g, deep.s), crop)
+            assert np.array_equal(out.s, crop_bank(full, targets[crop], crop).s)
+            # the output's counts are the grid the deep epitome holds
+            assert np.shares_memory(out.s, deep._counted[1])
+            assert not deep._counted[1].flags.writeable
+
+
+def test_same_shaped_applies_compute_counts_once(box_sums):
+    deep = _memo_deep()
+    rng = np.random.default_rng(36)
+    x28, y28, x33 = (random_input(rng, 1, (n, n)) for n in (28, 28, 33))
+    runs = [(x28, "same", 1), (y28, "same", 0), (x28, "same", 0), (x28, "valid", 1),
+            (y28, "valid", 0), (x33, "valid", 1), (x33, "valid", 0), (y28, "valid", 1)]
+    for x, crop, computed in runs:
+        box_sums.clear()
+        apply(x, deep, crop)
+        assert len(box_sums) == computed, (x.spatial_shape, crop)
+
+
+def test_remembered_counts_hold_no_input_and_one_grid():
+    deep = _memo_deep()
+    rng = np.random.default_rng(37)
+    x = random_input(rng, 1, (28, 28))
+    inputs = weakref.ref(x.g), weakref.ref(x.s)
+    out = apply(x, deep, "same")
+    first = weakref.ref(deep._counted[1])
+    del x
+    gc.collect()
+    assert all(ref() is None for ref in inputs)
+    # three shapes later only the last one's grid is held
+    for px in (7, 33, 5):
+        last = apply(random_input(rng, 1, (px, px)), deep, "same")
+    del out
+    gc.collect()
+    assert first() is None
+    key, grid = deep._counted
+    assert grid.shape == (1, 1, 5, 5) and last.s.shape == (2, 1, 5, 5)
+    assert all(isinstance(v, (int, tuple)) for v in key)
+
+
+def test_count_overflow_is_raised_on_every_apply():
+    # a 1-D deep epitome of counts 2**62: one overlapping entry counts
+    # 2**62, and the "same" crop of a 3-entry input keeps entries where
+    # two and three overlap, 3 * 2**62 > 2**63 - 1
+    deep = Bank(np.zeros((1, 1, 4)), np.full((1, 1, 4), 2**62))
+    rng = np.random.default_rng(38)
+    small = apply(random_input(rng, 1, (1,)), deep, "same")
+    assert small.s.tolist() == [[[2**62]]]
+    held = deep._counted
+    for _ in range(2):
+        with pytest.raises(CountOverflowError, match=f"summand count {3 * 2**62} exceeds"):
+            apply(random_input(rng, 1, (3,)), deep, "same")
+    assert deep._counted is held
+
+
+@pytest.mark.parametrize("count_type", ["float64", "int64", "object"])
+def test_counts_of_other_pairs_are_not_remembered(count_type):
+    # the per-member pairs of test_composite_row_chunks_are_bit_equal_to_one_chunk
+    rng = np.random.default_rng(16)
+    shape_a, shape_b = (2, 2, 4, 3), (3, 2, 5, 2)
+    if count_type == "float64":
+        sa, sb = rng.integers(1, 4, shape_a), rng.integers(1, 4, shape_b)
+    elif count_type == "int64":
+        sa, sb = (2**24 * rng.choice([3, 4], shape) for shape in (shape_a, shape_b))
+    else:
+        sa, sb = np.ones(shape_a, np.int64), np.ones(shape_b, np.int64)
+        sa[0, :, 0, 0] = sb[:, 0, 0, 0] = 2**31
+    a, b = (Bank(s * np.where(s > 2**26, 4, rng.integers(0, 9, s.shape)) / 8, s) for s in (sa, sb))
+    composite_convolve(a, b)
+    assert a._counted is None and b._counted is None
+    # a deep epitome whose counts vary by member, against a normalized input
+    x = random_input(rng, 2, (6, 5))
+    apply(x, b, "same")
+    assert b._counted is None and x._counted is None
+    # one shared grid each, neither of them all 1s (and short of int64's limit)
+    a, b = (Bank(x.g, np.broadcast_to(np.minimum(x.s[:1, :1], 3), x.s.shape)) for x in (a, b))
+    composite_convolve(a, b)
+    assert a._counted is None and b._counted is None
+
+
+def test_crops_copies_and_files_remember_nothing(tmp_path):
+    deep = _memo_deep()
+    x = random_input(np.random.default_rng(39), 1, (9, 9))
+    apply(x, deep, "same")
+    assert deep._counted is not None and x._counted is None
+    path = tmp_path / "deep.ghne"
+    save_epitome(deep, path)
+    for bank in (load_epitome(path), crop_bank(deep, (3, 3), "same"), Bank(deep.g, deep.s),
+                 apply(x, deep, "full")):
+        assert bank._counted is None
+
+
+def test_second_apply_peak_is_no_higher():
+    deep = _memo_deep()
+    rng = np.random.default_rng(40)
+    x, y = (normalized_input(rng, 1, 1, (64, 64)) for _ in range(2))
+    # each apply's peak above what was traced when it began: the first one
+    # leaves its count grid in the deep epitome, the second reads it
+    peaks = []
+    tracemalloc.start()
+    try:
+        for z in (x, y):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            apply(z, deep, "same")
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
 
 
 # --- effective shape and collapse -------------------------------------------

@@ -484,6 +484,32 @@ def test_bench_refuses_timings_when_the_gate_fails(model_file, monkeypatch, caps
     assert "bench-equivalence: FAIL" in captured.err
 
 
+def test_bench_refuses_timings_when_a_rep_differs(model_file, monkeypatch, capsys):
+    # the gated apply passes; the first timed rep is off by one ulp in one entry
+    calls = []
+
+    def corrupted(input_bank, deep, crop="full"):
+        out = apply(input_bank, deep, crop)
+        calls.append(crop)
+        if len(calls) == 2:
+            g = out.g.copy()
+            g.flat[0] = np.nextafter(g.flat[0], np.inf)
+            out = Bank(g, out.s)
+        return out
+
+    monkeypatch.setattr("ghne.cli.apply", corrupted)
+    path, _ = model_file
+    assert main(["bench", "--model", path, "--input-size", "12", "--reps", "3",
+                 "--crop", "same"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bench-equivalence: PASS" in captured.err
+    assert captured.err.endswith(
+        "error: one-step rep 1 differs from the gated output, refusing to report timings\n"
+    )
+    assert len(calls) == 2
+
+
 def test_stats_constant_half_bank(tmp_path, capsys):
     # every normalized entry 0.5: maximal fuzziness straight through the CLI
     bank = Bank(np.full((1, 1, 3, 3), 0.5), np.ones((1, 1, 3, 3), dtype=np.int64))

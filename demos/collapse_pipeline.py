@@ -61,10 +61,9 @@ print("valid:", apply(x, deep, "valid").spatial_shape)
 # gathering the windows.  This model has only 2 or 3 filters per layer,
 # and a layered step gathers only a strided layer's 5x5 taps, not its
 # 10x10 resized kernel, so the three layered steps gather less than the
-# one pass (a 23x23 window over the input for 2 filters) and run faster
-# (about 0.9 to 1.5 against 1.7 to 2.2 ms on 2 CPUs).  With more filters per gathered
-# window the one pass wins: on a 1-16-32-32 stack of 3x3 kernels it was
-# 5 to 7 times faster from 28x28 to 256x256 inputs.
+# one pass (a 23x23 window over the input for 2 filters) and can run
+# faster.  With more filters per gathered window the one pass wins, as
+# on a 1-16-32-32 stack of 3x3 kernels.
 layer_banks = [layer_to_bank(layer) for layer in model.layers]
 t0 = time.perf_counter()
 for _ in range(5):

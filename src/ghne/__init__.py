@@ -20,6 +20,7 @@ from .banks import (
     collapse,
     composite_convolve,
     crop_bank,
+    effective_counts,
     effective_shape,
     layer_to_bank,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "collapse",
     "composite_convolve",
     "crop_bank",
+    "effective_counts",
     "effective_shape",
     "layer_to_bank",
     "CountOverflowError",

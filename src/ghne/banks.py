@@ -18,7 +18,8 @@ kernel is never contracted entry by entry.  In T = 1 - 2g it factors
 into the weights' T dilated by s (spread s apart, zeros between),
 convolved with an all-ones s-box for the "replicate" fill and followed
 by s - 1 zeros for "fuzzy"; a layer bank keeps its weights as taps, and
-a fold step contracts just those |K| taps (see epitome.bank_convolve).
+a fold step contracts just those |K| taps (see epitome.bank_convolve),
+without building the resized kernel.
 """
 
 from __future__ import annotations
@@ -26,14 +27,16 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .epitome import (
     Epitome,
     Histogram,
+    _INT64_MAX,
     _bank_convolve,
+    _Factors,
     _histogram,
     _mean_fuzziness,
     _PairGrid,
@@ -52,6 +55,7 @@ __all__ = [
     "layer_to_bank",
     "composite_convolve",
     "effective_shape",
+    "effective_counts",
     "collapse",
     "apply",
     "crop_bank",
@@ -79,78 +83,89 @@ class Bank(_PairGrid):
     each operand's counts are one grid.
 
     A bank from layer_to_bank also keeps the taps its resized kernel is
-    made of, which composite_convolve passes to the kernel; no other
-    bank has them, so a copy, crop or saved file is a plain bank with
-    the same g and s.
-
-    A bank whose counts are one grid also remembers the last count grid
-    it produced in composite_convolve against an operand whose counts
-    are all 1, as every apply's normalized input and every fold step's
-    layer are.  That grid is the bank's counts box-summed over the other
-    operand's grid, so it depends only on the bank's side of the
-    convolution, the other operand's spatial shape, the contracted
-    members and the window; the bank keeps those shapes as the key and
-    no array of the other operand.  Applying one deep epitome to inputs
-    of one shape and crop then contracts only T, and the results share
-    one read-only count grid.  The bound is one window-sized int64
-    grid: a new key replaces it.  Every bank starts with none, so a
-    copy, crop, loaded file or fresh result remembers nothing.
+    made of, which composite_convolve passes to the kernel, and builds
+    that kernel, g, only when g is first read.  Its counts, a normalized
+    input's in apply, and those of every composite_convolve of two such
+    banks, are also held as exact per-axis factors (epitome._Factors),
+    from which the kernel computes the counts of a convolution without
+    contracting any count grid.  No other bank has taps or factors, so
+    a copy, crop or saved file is a plain bank with the same g and s.
     """
 
-    __slots__ = ("_taps", "_counted")
+    __slots__ = ("_taps", "_factors")
     _NAME = "bank"
     _MEMBER_AXES = 2
     _RANK_ERROR = "bank arrays must be (m, c, *spatial) with rank >= 3, got rank {}"
 
     def __init__(self, g, s):
         super().__init__(g, s)
-        self._taps = self._counted = None
+        self._taps = self._factors = None
+
+    @property
+    def g(self) -> np.ndarray:
+        """The read-only float64 GHD sums; a layer bank's resized kernel is built here."""
+        if self._g is None:
+            self._g = _resized_kernel(self._taps)
+        return self._g
 
     @classmethod
-    def _of_layer(cls, g, taps):
-        """The bank of a layer's resized kernel g: counts of 1, and its taps.
+    def _of_layer(cls, layer, fill):
+        """The bank of a layer: counts of 1, held as factors too, and its taps.
 
-        LayerSpec has checked the weights g is made of, so g is neither
-        checked nor copied again.
+        LayerSpec has checked the weights, so they are neither checked
+        nor copied again.
         """
         bank = cls.__new__(cls)
-        ones = np.ones((1, 1) + g.shape[2:], dtype=np.int64)
-        for x in (g, ones):
-            x.setflags(write=False)
-        bank.g, bank.s, bank._taps, bank._counted = g, np.broadcast_to(ones, g.shape), taps, None
+        extents = layer.resized_extents()
+        ones = np.ones((1, 1) + extents, dtype=np.int64)
+        ones.setflags(write=False)
+        bank._g, bank.s = None, _shared(ones, layer.weights.shape[:2] + extents)
+        bank._taps, bank._factors = _Taps(layer.weights, layer.stride, fill), _ones_factors(extents)
         return bank
 
     @classmethod
-    def _of_convolution(cls, g, s):
-        """The bank of a kernel result: g as it is, s the kernel's int64 broadcast counts.
+    def _of_convolution(cls, g, s, factors):
+        """The bank of a kernel result: g as it is, s the kernel's read-only int64 counts.
 
         The kernel has made g for this bank alone and counted s exactly,
         each count >= 1 over a window inside the full output, so neither
         is copied or checked again; only a g past float64's range is
-        named.
+        named.  factors are the kernel's, or None.
         """
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite g value in {cls._NAME}")
         g.setflags(write=False)
         bank = cls.__new__(cls)
-        bank.g, bank.s, bank._taps, bank._counted = g, s, None, None
+        bank._g, bank._taps, bank._factors = g, None, factors
+        bank.s = s if s.shape == g.shape else _shared(s, g.shape)
         return bank
+
+    def _with_ones_factors(self):
+        """This normalized bank, its counts held as factors: weight 1, all-ones profiles."""
+        if self._factors is not None:
+            return self
+        bank = type(self).__new__(type(self))
+        bank._g, bank.s, bank._taps = self._g, self.s, self._taps
+        bank._factors = _ones_factors(self.spatial_shape)
+        return bank
+
+    # shapes are read from s, which a layer bank holds before its g
 
     @property
     def m(self) -> int:
-        return self.g.shape[0]
+        return self.s.shape[0]
 
     @property
     def c(self) -> int:
-        return self.g.shape[1]
+        return self.s.shape[1]
 
     @property
     def spatial_shape(self) -> tuple[int, ...]:
-        return self.g.shape[2:]
+        return self.s.shape[2:]
 
     @property
     def rank(self) -> int:
-        return self.g.ndim - 2
+        return self.s.ndim - 2
 
     def member(self, i: int, j: int) -> Epitome:
         return Epitome(self.g[i, j], self.s[i, j])
@@ -260,11 +275,14 @@ class DeepEpitome:
     bank.c equals the first collapsed layer's input channels, bank.m the
     last layer's output filters, and the spatial shape obeys the closed
     form first_extent + sum(extent_i - 1) over stride-resized extents.
+    When effective_counts (see the function of that name) is given, the
+    bank's count factors must equal it; no count grid is compared.
     """
 
     bank: Bank
     collapsed_layers: tuple[int, int]
     effective_shape: tuple[int, ...]
+    effective_counts: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         first, last = self.collapsed_layers
@@ -275,6 +293,13 @@ class DeepEpitome:
                 f"collapsed bank shape {self.bank.spatial_shape} does not match "
                 f"the closed-form effective shape {tuple(self.effective_shape)}"
             )
+        if self.effective_counts is not None:
+            held, (weight, profiles, _) = self.bank._factors, self.effective_counts
+            same = held is not None and held.weight == weight
+            if not (same and [p.tolist() for p in held.profiles] == [p.tolist() for p in profiles]):
+                raise ValueError(
+                    "collapsed bank counts do not match the closed-form effective counts"
+                )
 
 
 def _stride_tuple(stride, rank: int) -> tuple[int, ...]:
@@ -308,19 +333,43 @@ def layer_to_bank(layer: LayerSpec, fill: str = "replicate") -> Bank:
     all-ones s-box convolved with the weights' T spread s apart, and the
     fuzzy one is that spread followed by s - 1 zeros; the bank keeps
     those taps, so that composite_convolve contracts |K| taps instead
-    of the s**rank times larger resized grid.
+    of the s**rank times larger resized grid.  The resized grid, the
+    bank's g, is built when g is first read.
     """
     if fill not in _STRIDE_FILLS:
         raise ValueError(f"unknown stride fill {fill!r}, expected one of {_STRIDE_FILLS}")
-    g = layer.weights
-    if fill == "replicate":
-        for axis, v in enumerate(layer.stride, 2):
+    return Bank._of_layer(layer, fill)
+
+
+def _resized_kernel(taps: _Taps) -> np.ndarray:
+    """The read-only resized kernel of a layer bank's taps (see layer_to_bank)."""
+    g = taps.w
+    if all(v == 1 for v in taps.stride):
+        return g
+    if taps.fill == "replicate":
+        for axis, v in enumerate(taps.stride, 2):
             if v > 1:
                 g = np.repeat(g, v, axis=axis)
     else:
-        g = np.full(g.shape[:2] + layer.resized_extents(), 0.5)
-        g[(Ellipsis,) + tuple(slice(None, None, v) for v in layer.stride)] = layer.weights
-    return Bank._of_layer(g, _Taps(layer.weights, layer.stride, fill))
+        g = np.full(g.shape[:2] + tuple(k * v for k, v in zip(g.shape[2:], taps.stride)), 0.5)
+        g[(Ellipsis,) + tuple(slice(None, None, v) for v in taps.stride)] = taps.w
+    g.setflags(write=False)
+    return g
+
+
+def _shared(grid, shape):
+    """A read-only contiguous count grid (1, 1, *spatial) viewed over every member of shape.
+
+    The view np.broadcast_to gives, at a third of its cost.
+    """
+    return np.ndarray(shape, grid.dtype, grid, 0, (0, 0) + grid.strides[2:])
+
+
+def _ones_factors(extents) -> _Factors:
+    """The count factors of an all-ones grid of these extents."""
+    ones = np.ones(max(extents), dtype=np.int64)
+    ones.setflags(write=False)
+    return _Factors(1, tuple(ones[:n] for n in extents), 1)
 
 
 def composite_convolve(a: Bank, b: Bank, window=None) -> Bank:
@@ -334,9 +383,9 @@ def composite_convolve(a: Bank, b: Bank, window=None) -> Bank:
     the entries it selects; None computes them all.  Anything but a
     non-empty slice(start, stop) of integers inside its axis's full
     extent raises ValueError before anything is computed.  A layer
-    bank's taps go to the kernel along with it, on either side, and an
-    operand may remember the result's count grid (see Bank).  The
-    result holds the kernel's arrays themselves, read-only.
+    bank's taps go to the kernel along with it, on either side, and when
+    both operands hold count factors (see Bank), so does the result.
+    The result holds the kernel's arrays themselves, read-only.
     """
     if a.rank != b.rank:
         raise ValueError(f"spatial rank mismatch: {a.rank} vs {b.rank}")
@@ -345,7 +394,7 @@ def composite_convolve(a: Bank, b: Bank, window=None) -> Bank:
             f"bank mismatch: left bank has m={a.m} epitomes but "
             f"right bank expects c={b.c} channels"
         )
-    return Bank._of_convolution(*_bank_convolve(a.g, a.s, b.g, b.s, window, (a, b)))
+    return Bank._of_convolution(*_bank_convolve(a, b, window))
 
 
 def effective_shape(layers) -> tuple[int, ...]:
@@ -361,6 +410,35 @@ def effective_shape(layers) -> tuple[int, ...]:
     return tuple(out)
 
 
+def effective_counts(layers) -> _Factors:
+    """Closed-form collapsed counts, exact: (weight, profiles, peak).
+
+    Every count of the collapsed bank is weight * prod_a profiles[a][x_a]:
+    weight is the product of the contracted widths (each later layer's
+    input channels), and profiles[a] the full convolution of all-ones
+    boxes of the resized extents along axis a.  peak is the largest
+    count.  Only 1-D arrays are built, so a count past int64 shows here
+    before any fold.
+    """
+    layers = list(layers)
+    if not layers:
+        raise ValueError("no layers")
+    # from the boxes themselves, not the kernel's factor convolution, so
+    # that collapse's cross-check is independent of it
+    axes = list(zip(*(layer.resized_extents() for layer in layers)))
+    profiles = {}
+    for boxes in axes:
+        if boxes not in profiles:
+            # no entry passes the product of the box widths
+            p = np.ones(boxes[0], np.int64 if math.prod(boxes) <= _INT64_MAX else object)
+            for n in boxes[1:]:
+                p = np.convolve(p, np.ones(n, p.dtype))
+            profiles[boxes] = p
+    weight = math.prod(layer.in_channels for layer in layers[1:])
+    peak = weight * math.prod(int(profiles[boxes].max()) for boxes in axes)
+    return _Factors(weight, tuple(profiles[boxes] for boxes in axes), peak)
+
+
 def collapse(
     model: Model,
     upto_layer: int | None = None,
@@ -371,8 +449,10 @@ def collapse(
 
     Left fold of composite_convolve over the per-layer banks; the fold
     order is immaterial by associativity, which the tests confirm rather
-    than assume.  The result's spatial shape is cross-checked against
-    the closed form at construction.
+    than assume.  Layer banks are contracted through their taps, so a
+    strided layer's resized kernel is built only if a role swap windows
+    it.  The result's spatial shape and count factors are cross-checked
+    against the closed forms at construction.
     """
     n = len(model.layers)
     if upto_layer is None:
@@ -385,7 +465,9 @@ def collapse(
     bank = layer_to_bank(selected[0], fill)
     for layer in selected[1:]:
         bank = composite_convolve(bank, layer_to_bank(layer, fill))
-    return DeepEpitome(bank, (first_layer, upto_layer), effective_shape(selected))
+    return DeepEpitome(
+        bank, (first_layer, upto_layer), effective_shape(selected), effective_counts(selected)
+    )
 
 
 def apply(input_bank: Bank, deep, crop: str = "full") -> Bank:
@@ -413,7 +495,9 @@ def apply(input_bank: Bank, deep, crop: str = "full") -> Bank:
     pairs = list(zip(input_bank.spatial_shape, deep_bank.spatial_shape))
     target = tuple(n - d + 1 for n, d in pairs) if crop == "valid" else input_bank.spatial_shape
     window = _crop_window(tuple(n + d - 1 for n, d in pairs), target, crop)
-    out = composite_convolve(input_bank, deep_bank, window)
+    out = composite_convolve(input_bank._with_ones_factors(), deep_bank, window)
+    # the identity, as the window is the crop; perfbench's extract trace
+    # reads its span
     return crop_bank(out, target, crop)
 
 

@@ -191,12 +191,13 @@ def cmd_bench(args) -> int:
         return _EXIT_VERIFY
     print(_format_report("bench-equivalence", report), file=sys.stderr)
 
-    # layered and one-step both run the fast kernel; the oracle only gates
+    # layered and one-step both run the fast kernel on the input apply
+    # takes, its counts held as factors; the oracle only gates
     layer_banks = [layer_to_bank(layer) for layer in model.layers]
     rows = [("collapse", 1, collapse_seconds)]
     for rep in range(1, args.reps + 1):
         t0 = time.perf_counter()
-        bank = input_bank
+        bank = input_bank._with_ones_factors()
         for layer_bank in layer_banks:
             bank = composite_convolve(bank, layer_bank)
         rows.append(("layered", rep, time.perf_counter() - t0))
@@ -204,8 +205,7 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         out = apply(input_bank, deep, args.crop)
         rows.append(("one_step", rep, time.perf_counter() - t0))
-        # a rep reuses what the gated apply left in the deep epitome (its
-        # count grid), so each one is held to the gated output, bit for bit
+        # each rep is held to the gated output, bit for bit
         if not (np.array_equal(out.s, candidate.s) and out.g.tobytes() == candidate.g.tobytes()):
             print(
                 f"error: one-step rep {rep} differs from the gated output, "
@@ -213,10 +213,77 @@ def cmd_bench(args) -> int:
                 file=sys.stderr,
             )
             return _EXIT_VERIFY
+    if args.json is not None:
+        _add_bench_run(args, model, deep, rows)
     print("mode,rep,seconds")
     for mode, rep, seconds in rows:
         print(f"{mode},{rep},{seconds!r}")
     return _EXIT_OK
+
+
+def _add_bench_run(args, model, deep, rows):
+    """Add this gated bench run to the JSON record at args.json, created if absent.
+
+    The record holds the model's shapes once and a list of runs, each
+    with its environment, input, crop and the median and interquartile
+    range of every mode's seconds.  A file that is not such a record, or
+    holds another model's runs, raises ValueError.
+    """
+    # imported here: loading them cost every other command start-up time
+    # and resident memory
+    import json
+    import platform
+
+    shapes = {
+        "layers": [
+            {"name": l.name, "weights": list(l.weights.shape), "stride": list(l.stride)}
+            for l in model.layers
+        ],
+        "deep_epitome": list(deep.bank.g.shape),
+    }
+    modes = {}
+    for mode in ("collapse", "layered", "one_step"):
+        seconds = [s for m, _, s in rows if m == mode]
+        q1, median, q3 = (float(q) for q in np.percentile(seconds, [25, 50, 75]))
+        modes[mode] = {"reps": len(seconds), "median_s": median, "iqr_s": q3 - q1}
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    run = {
+        "environment": {
+            "cpus": cpus,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas_threads": _blas_threads(),
+        },
+        "input_size": args.input_size,
+        "crop": args.crop,
+        "modes": modes,
+    }
+    record = {"model": shapes, "runs": []}
+    if os.path.exists(args.json):
+        with open(args.json, encoding="utf-8") as f:
+            record = json.load(f)
+        if not (isinstance(record, dict) and isinstance(record.get("runs"), list)):
+            raise ValueError(f"{args.json} is not a bench record")
+        if record.get("model") != shapes:
+            raise ValueError(f"{args.json} holds bench runs of another model")
+    record["runs"].append(run)
+    model_io.write_text(args.json, json.dumps(record, indent=1) + "\n")
+
+
+def _blas_threads():
+    """The thread count of the OpenBLAS that numpy ships, or None if there is none."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                threads = getattr(lib, name)
+                threads.argtypes, threads.restype = [], ctypes.c_int
+                return threads()
+    return None
 
 
 def cmd_demo(args) -> int:
@@ -357,6 +424,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=10)
     p.add_argument(
         "--crop", choices=_CROP_MODES, default="full", help="crop of the gated and timed one step"
+    )
+    p.add_argument(
+        "--json",
+        metavar="FILE",
+        help="once the checks pass, add this run (environment, shapes, median and IQR per "
+        "mode) to FILE",
     )
     p.set_defaults(func=cmd_bench)
 

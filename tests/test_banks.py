@@ -1,6 +1,8 @@
 """Banks, stride resizing, composite convolution, collapse, apply."""
 
+import functools
 import gc
+import math
 import tracemalloc
 import weakref
 
@@ -20,7 +22,9 @@ from ghne import (
     collapse,
     composite_convolve,
     convolve,
+    banks,
     crop_bank,
+    effective_counts,
     effective_shape,
     epitome,
     layer_to_bank,
@@ -554,25 +558,11 @@ def test_member_counts_past_int64_raise(windowed):
     assert [rows for dtype, _, rows in windowed if dtype == object] == [2]
 
 
-@pytest.fixture
-def prefix_sums(monkeypatch):
-    """Record the dtype of every np.cumsum call: the box-sum counts' prefix sums."""
-    seen = []
-    cumsum = np.cumsum
-
-    def spy(x, **kwargs):
-        seen.append(np.dtype(kwargs["dtype"]))
-        return cumsum(x, **kwargs)
-
-    monkeypatch.setattr(np, "cumsum", spy)
-    return seen
-
-
 @pytest.mark.parametrize("peak, count_type", [(2**62 - 1, np.int64), (2**62, object)])
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_box_sum_counts_at_the_int64_edge(prefix_sums, side, peak, count_type):
+def test_box_sum_counts_at_the_int64_edge(windowed, side, peak, count_type):
     # one operand's counts are all 1, so the output counts are the other's
-    # box sums: [peak, 2 * peak, peak], whose prefix sums reach 2 * peak,
+    # box sums: [peak, 2 * peak, peak], a grid pair whose bound is 2 * peak,
     # 2**63 - 2 in int64 or 2**63 in Python ints
     ones = Bank(np.zeros((1, 1, 2)), np.ones((1, 1, 2), dtype=np.int64))
     big = Bank(np.zeros((1, 1, 2)), np.full((1, 1, 2), peak))
@@ -584,7 +574,10 @@ def test_box_sum_counts_at_the_int64_edge(prefix_sums, side, peak, count_type):
         out = composite_convolve(a, b)
         assert out.s.tolist() == [[[peak, 2 * peak, peak]]]
         assert np.array_equal(reference_composite(a, b).s, out.s)
-    assert prefix_sums == [np.dtype(count_type)]
+    # T in float64, then the one count product of the two grids
+    assert [(dtype, rows) for dtype, _, rows in windowed] == [
+        (np.dtype(np.float64), 1), (np.dtype(count_type), 1)
+    ]
 
 
 @pytest.mark.parametrize("half", [2**61 - 1, 2**61])
@@ -638,7 +631,8 @@ def test_layer_bank_taps_do_not_change_its_meaning(tmp_path, fill, stride):
 
 def test_layer_bank_contracts_its_taps(monkeypatch):
     # the gathered operand holds k * |K| rows, the taps of a 2x3 kernel,
-    # not the 4x9 resized grid; the counts need no matrix product
+    # not the 4x9 resized grid; the counts of an input and a layer, both
+    # held as factors, need no matrix product
     depths = []
     matmul = np.matmul
 
@@ -649,7 +643,7 @@ def test_layer_bank_contracts_its_taps(monkeypatch):
     monkeypatch.setattr(np, "matmul", spy)
     rng = np.random.default_rng(26)
     layer = LayerSpec("l", rng.uniform(0, 1, (8, 2, 2, 3)), (2, 3))
-    x = random_input(rng, channels=2, shape=(6, 6))
+    x = random_input(rng, channels=2, shape=(6, 6))._with_ones_factors()
     for fill in ("replicate", "fuzzy"):
         depths.clear()
         composite_convolve(x, layer_to_bank(layer, fill))
@@ -657,7 +651,8 @@ def test_layer_bank_contracts_its_taps(monkeypatch):
     depths.clear()
     bank = layer_to_bank(layer)
     composite_convolve(x, Bank(bank.g, bank.s))
-    assert set(depths) == {(np.dtype(np.float64), 2 * 36)}
+    # T over the resized grid, then the counts of the two plain grids
+    assert depths == [(np.dtype(np.float64), 2 * 36), (np.dtype(np.float64), 36)]
 
 
 # --- the kernel writes g once ----------------------------------------------
@@ -753,15 +748,16 @@ def test_t_products_land_in_the_result(monkeypatch):
 
     monkeypatch.setattr(np, "matmul", spy)
     rng = np.random.default_rng(30)
-    deep = random_bank(rng, m=3, c=2, shape=(4, 3), max_count=3, g_range=(0, 1))
+    deep = collapse(Model([LayerSpec("d", rng.uniform(0, 1, (3, 2, 4, 3)))])).bank
     swapped_input = normalized_input(rng, 1, 4, (5, 6))
-    swapped_deep = random_bank(rng, m=1, c=1, shape=(4, 2), max_count=3, g_range=(0, 1))
+    swapped_deep = collapse(Model([LayerSpec("d", rng.uniform(0, 1, (1, 1, 4, 2)))])).bank
     first = LayerSpec("a", rng.uniform(0, 1, (4, 2, 3, 3)))
     strided = Model([first, LayerSpec("b", rng.uniform(0, 1, (3, 4, 2, 2)), 2)])
     plain = Model([first, LayerSpec("b", rng.uniform(0, 1, (3, 4, 2, 2)))])
-    # counts against normalized inputs and layers are box sums, so every
-    # product is a T product; the fuzzy fill of a strided layer assigns
-    # its product into a larger array instead, for the zero tail
+    # the counts of normalized inputs, layers and their convolutions come
+    # from factors, so every product is a T product; the fuzzy fill of a
+    # strided layer assigns its product into a larger array instead, for
+    # the zero tail
     runs = [
         lambda: apply(normalized_input(rng, 2, 1, (9, 8)), deep, "same"),
         lambda: apply(normalized_input(rng, 2, 1, (9, 8)), deep, "full"),
@@ -832,34 +828,91 @@ def test_window_view_is_the_stepped_sliding_window(dtype):
                 view[(0,) * view.ndim] = 1
 
 
-# --- count grids a bank remembers -------------------------------------------
+# --- counts held as per-axis factors ------------------------------------------
 
 
-def _memo_deep():
-    # a 2x1x4x4 deep epitome, whose counts are one grid; the 4x4 grid
-    # leaves a valid crop of every input size below
+def _deep():
+    # a 2x1x4x4 deep epitome, whose counts are held as factors; the 4x4
+    # grid leaves a valid crop of every input size below
     rng = np.random.default_rng(34)
     model = Model([LayerSpec("a", rng.uniform(0, 1, (3, 1, 3, 3))),
                    LayerSpec("b", rng.uniform(0, 1, (2, 3, 2, 2)))])
     return collapse(model).bank
 
 
-@pytest.fixture
-def box_sums(monkeypatch):
-    """Record every box-sum count grid computed: the count path of apply and fold."""
-    calls = []
-    box_sums = epitome._box_sums
-
-    def spy(*args):
-        calls.append(args[3])
-        return box_sums(*args)
-
-    monkeypatch.setattr(epitome, "_box_sums", spy)
-    return calls
+def _factor_free(bank):
+    """bank with its g, s and taps but no count factors, so its counts are contracted."""
+    copy = Bank(bank.g, bank.s)
+    copy._taps = bank._taps
+    return copy
 
 
-def test_repeated_applies_equal_memo_less_ones():
-    deep = _memo_deep()
+def _factored(weight, profiles, m=1, c=1):
+    """A bank of g = 0 whose counts, weight * outer(*profiles), are held as factors."""
+    profiles = tuple(np.array(p, dtype=np.int64) for p in profiles)
+    peak = weight * math.prod(int(p.max()) for p in profiles)
+    factors = epitome._Factors(weight, profiles, peak)
+    grid = factors.grid()
+    shape = (m, c) + grid.shape[2:]
+    return Bank._of_convolution(np.zeros(shape), banks._shared(grid, shape), factors)
+
+
+def _random_stacks(rng):
+    # 2-D stacks from oracle.random_model, and rank-1 and rank-3 ones, with
+    # strides 1 to 3 on every axis
+    models = [random_model(rng, max_channels=3, max_kernel=3, strides=(1, 2, 3)) for _ in range(8)]
+    for rank in (1, 3, 1, 3):
+        widths = [int(v) for v in rng.integers(1, 4, 4)]
+        kernels = [tuple(rng.integers(1, 4, rank)) for _ in range(3)]
+        strides = [tuple(int(v) for v in rng.integers(1, 4, rank)) for _ in range(3)]
+        models.append(Model(
+            LayerSpec(f"l{i}", rng.uniform(0, 1, (widths[i + 1], widths[i]) + kernels[i]), strides[i])
+            for i in range(3)
+        ))
+    return models
+
+
+@pytest.mark.parametrize("fill", ["replicate", "fuzzy"])
+def test_factored_folds_equal_the_reference_and_factor_free_ones(fill):
+    rng = np.random.default_rng(41)
+    for model in _random_stacks(rng):
+        for first in range(1, len(model.layers) + 1):
+            layers = model.layers[first - 1:]
+            bank = layer_to_bank(layers[0], fill)
+            reference = Bank(bank.g, bank.s)
+            for layer in layers[1:]:
+                layer_bank = layer_to_bank(layer, fill)
+                out = composite_convolve(bank, layer_bank)
+                # the same kernel with every count contracted: g bit for bit
+                assert out == composite_convolve(_factor_free(bank), _factor_free(layer_bank))
+                reference = reference_composite(reference, Bank(layer_bank.g, layer_bank.s))
+                assert np.array_equal(out.s, reference.s) and out._factors is not None
+                bank = out
+            deep = collapse(model, first_layer=first, fill=fill)
+            assert deep.bank == bank
+            weight, profiles, peak = effective_counts(layers)
+            assert deep.bank._factors.weight == weight and peak == int(bank.s.max())
+            outer = weight * functools.reduce(np.multiply.outer, profiles)
+            assert np.array_equal(outer, bank.s[0, 0])
+
+
+def test_factored_applies_at_uneven_extents_equal_the_reference():
+    rng = np.random.default_rng(42)
+    for model in _random_stacks(rng)[:6]:
+        deep = collapse(model).bank
+        plain = _factor_free(deep)
+        extents = tuple(n + int(v) for n, v in zip(deep.spatial_shape, rng.integers(0, 4, deep.rank)))
+        x = random_input(rng, model.layers[0].in_channels, extents)
+        full = reference_composite(x, deep)
+        valid = tuple(n - d + 1 for n, d in zip(extents, deep.spatial_shape))
+        for crop, target in (("full", full.spatial_shape), ("same", extents), ("valid", valid)):
+            out = apply(x, deep, crop)
+            assert out == apply(x, plain, crop)
+            assert np.array_equal(out.s, crop_bank(full, target, crop).s)
+
+
+def test_repeated_applies_equal_factor_free_ones():
+    deep = _deep()
     rng = np.random.default_rng(35)
     for px in (5, 7, 28, 33, 28):
         x = random_input(rng, 1, (px, px))
@@ -867,65 +920,63 @@ def test_repeated_applies_equal_memo_less_ones():
         targets = {"full": full.spatial_shape, "same": (px, px), "valid": (px - 3, px - 3)}
         for crop in ("full", "same", "valid", "same", "full"):
             out = apply(x, deep, crop)
-            # a fresh copy remembers nothing when it is applied
+            # a factor-free copy contracts its counts
             assert out == apply(x, Bank(deep.g, deep.s), crop)
             assert np.array_equal(out.s, crop_bank(full, targets[crop], crop).s)
-            # the output's counts are the grid the deep epitome holds
-            assert np.shares_memory(out.s, deep._counted[1])
-            assert not deep._counted[1].flags.writeable
+            assert not out.s.flags.writeable and out._factors is not None
 
 
-def test_same_shaped_applies_compute_counts_once(box_sums):
-    deep = _memo_deep()
-    rng = np.random.default_rng(36)
-    x28, y28, x33 = (random_input(rng, 1, (n, n)) for n in (28, 28, 33))
-    runs = [(x28, "same", 1), (y28, "same", 0), (x28, "same", 0), (x28, "valid", 1),
-            (y28, "valid", 0), (x33, "valid", 1), (x33, "valid", 0), (y28, "valid", 1)]
-    for x, crop, computed in runs:
-        box_sums.clear()
-        apply(x, deep, crop)
-        assert len(box_sums) == computed, (x.spatial_shape, crop)
-
-
-def test_remembered_counts_hold_no_input_and_one_grid():
-    deep = _memo_deep()
+def test_applies_hold_no_input():
+    deep = _deep()
+    factors = deep._factors
     rng = np.random.default_rng(37)
     x = random_input(rng, 1, (28, 28))
     inputs = weakref.ref(x.g), weakref.ref(x.s)
     out = apply(x, deep, "same")
-    first = weakref.ref(deep._counted[1])
+    assert not any(np.shares_memory(out.s, y) for y in (x.g, x.s))
     del x
     gc.collect()
     assert all(ref() is None for ref in inputs)
-    # three shapes later only the last one's grid is held
-    for px in (7, 33, 5):
-        last = apply(random_input(rng, 1, (px, px)), deep, "same")
-    del out
-    gc.collect()
-    assert first() is None
-    key, grid = deep._counted
-    assert grid.shape == (1, 1, 5, 5) and last.s.shape == (2, 1, 5, 5)
-    assert all(isinstance(v, (int, tuple)) for v in key)
+    assert deep._factors is factors and out.spatial_shape == (28, 28)
 
 
-def test_count_overflow_is_raised_on_every_apply():
+def test_count_overflow_is_raised_on_every_apply(monkeypatch):
     # a 1-D deep epitome of counts 2**62: one overlapping entry counts
     # 2**62, and the "same" crop of a 3-entry input keeps entries where
     # two and three overlap, 3 * 2**62 > 2**63 - 1
-    deep = Bank(np.zeros((1, 1, 4)), np.full((1, 1, 4), 2**62))
+    deep = _factored(2**62, [[1, 1, 1, 1]])
     rng = np.random.default_rng(38)
     small = apply(random_input(rng, 1, (1,)), deep, "same")
     assert small.s.tolist() == [[[2**62]]]
-    held = deep._counted
+
+    def product(*args, **kwargs):
+        raise AssertionError("a product ran before the count overflow was named")
+
+    monkeypatch.setattr(np, "matmul", product)
     for _ in range(2):
         with pytest.raises(CountOverflowError, match=f"summand count {3 * 2**62} exceeds"):
             apply(random_input(rng, 1, (3,)), deep, "same")
-    assert deep._counted is held
+    monkeypatch.undo()
+    # a factor-free copy counts by contraction, after its T product
+    with pytest.raises(CountOverflowError, match=f"summand count {3 * 2**62} exceeds"):
+        apply(random_input(rng, 1, (3,)), Bank(deep.g, deep.s), "same")
+
+
+def test_fold_count_overflow_is_named_before_any_product(monkeypatch):
+    # 2 contracted members of weight 2**62 against a 1x1 layer: 2**63
+    bank = _factored(2**62, [[1, 1]], m=2)
+    layer = layer_to_bank(LayerSpec("l", np.zeros((1, 2, 1))))
+    matmuls = []
+    monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: matmuls.append(1))
+    with pytest.raises(CountOverflowError, match=f"summand count {2**63} exceeds"):
+        composite_convolve(bank, layer)
+    assert matmuls == []
 
 
 @pytest.mark.parametrize("count_type", ["float64", "int64", "object"])
 def test_counts_of_other_pairs_are_not_remembered(count_type):
     # the per-member pairs of test_composite_row_chunks_are_bit_equal_to_one_chunk
+    # contract their counts, and no result holds them as factors
     rng = np.random.default_rng(16)
     shape_a, shape_b = (2, 2, 4, 3), (3, 2, 5, 2)
     if count_type == "float64":
@@ -936,36 +987,50 @@ def test_counts_of_other_pairs_are_not_remembered(count_type):
         sa, sb = np.ones(shape_a, np.int64), np.ones(shape_b, np.int64)
         sa[0, :, 0, 0] = sb[:, 0, 0, 0] = 2**31
     a, b = (Bank(s * np.where(s > 2**26, 4, rng.integers(0, 9, s.shape)) / 8, s) for s in (sa, sb))
-    composite_convolve(a, b)
-    assert a._counted is None and b._counted is None
+    out = composite_convolve(a, b)
+    assert out._factors is None and np.array_equal(out.s, reference_composite(a, b).s)
     # a deep epitome whose counts vary by member, against a normalized input
     x = random_input(rng, 2, (6, 5))
-    apply(x, b, "same")
-    assert b._counted is None and x._counted is None
-    # one shared grid each, neither of them all 1s (and short of int64's limit)
-    a, b = (Bank(x.g, np.broadcast_to(np.minimum(x.s[:1, :1], 3), x.s.shape)) for x in (a, b))
-    composite_convolve(a, b)
-    assert a._counted is None and b._counted is None
+    out = apply(x, b, "full")
+    assert out._factors is None and np.array_equal(out.s, reference_composite(x, b).s)
+    # one shared grid each, neither of them all 1s (and short of int64's limit),
+    # and one shared grid against per-member counts
+    shared = [Bank(x.g, np.broadcast_to(np.minimum(x.s[:1, :1], 3), x.s.shape)) for x in (a, b)]
+    for pair in (shared, (shared[0], b), (a, shared[1])):
+        out = composite_convolve(*pair)
+        assert out._factors is None and np.array_equal(out.s, reference_composite(*pair).s)
 
 
 def test_crops_copies_and_files_remember_nothing(tmp_path):
-    deep = _memo_deep()
+    deep = _deep()
     x = random_input(np.random.default_rng(39), 1, (9, 9))
-    apply(x, deep, "same")
-    assert deep._counted is not None and x._counted is None
+    assert x._factors is None and apply(x, deep, "same")._factors is not None
+    assert x._factors is None
     path = tmp_path / "deep.ghne"
     save_epitome(deep, path)
     for bank in (load_epitome(path), crop_bank(deep, (3, 3), "same"), Bank(deep.g, deep.s),
-                 apply(x, deep, "full")):
-        assert bank._counted is None
+                 composite_convolve(x, Bank(deep.g, deep.s))):
+        assert bank._factors is None and bank._taps is None
+
+
+def test_loaded_epitome_applies_with_exact_counts(tmp_path):
+    deep = _deep()
+    path = tmp_path / "deep.ghne"
+    save_epitome(deep, path)
+    loaded = load_epitome(path)
+    x = random_input(np.random.default_rng(43), 1, (11, 10))
+    for crop in ("full", "same", "valid"):
+        out = apply(x, loaded, crop)
+        assert out == apply(x, deep, crop)
+    assert np.array_equal(apply(x, loaded).s, reference_composite(x, deep).s)
 
 
 def test_second_apply_peak_is_no_higher():
-    deep = _memo_deep()
+    deep = _deep()
     rng = np.random.default_rng(40)
     x, y = (normalized_input(rng, 1, 1, (64, 64)) for _ in range(2))
-    # each apply's peak above what was traced when it began: the first one
-    # leaves its count grid in the deep epitome, the second reads it
+    # each apply's peak above what was traced when it began: both count
+    # from factors and leave nothing behind in the deep epitome
     peaks = []
     tracemalloc.start()
     try:
@@ -977,6 +1042,77 @@ def test_second_apply_peak_is_no_higher():
     finally:
         tracemalloc.stop()
     assert peaks[1] <= peaks[0]
+
+
+def test_fold_reads_no_resized_kernel(monkeypatch):
+    # mid's strided conv2 is contracted through its taps on the kernel
+    # side, so collapse never resizes it; a reader of layer_to_bank's g
+    # still gets the resized grid, built once
+    resized = []
+    resize = banks._resized_kernel
+
+    def spy(taps):
+        resized.append(taps.w.shape)
+        return resize(taps)
+
+    monkeypatch.setattr(banks, "_resized_kernel", spy)
+    rng = np.random.default_rng(44)
+    widths, strides = (1, 16, 32, 32), (1, 2, 1)
+    model = Model(
+        LayerSpec(f"conv{i + 1}", rng.uniform(0, 1, (widths[i + 1], widths[i], 3, 3)), strides[i])
+        for i in range(3)
+    )
+    for fill in ("replicate", "fuzzy"):
+        resized.clear()
+        collapse(model, fill=fill)
+        assert (32, 16, 3, 3) not in resized
+        conv2 = layer_to_bank(model.layers[1], fill)
+        g = conv2.g
+        assert resized[-1] == (32, 16, 3, 3) and conv2.g is g and not g.flags.writeable
+        weights = model.layers[1].weights
+        if fill == "replicate":
+            expected = np.repeat(np.repeat(weights, 2, axis=2), 2, axis=3)
+        else:
+            expected = np.full((32, 16, 6, 6), 0.5)
+            expected[:, :, ::2, ::2] = weights
+        assert np.array_equal(g, expected)
+
+
+def test_effective_counts_closed_form():
+    layers = [
+        LayerSpec("a", np.zeros((2, 1, 2, 3)), 1),
+        LayerSpec("b", np.zeros((3, 2, 2, 1)), (2, 1)),
+        LayerSpec("c", np.zeros((4, 3, 1, 2)), 1),
+    ]
+    weight, profiles, peak = effective_counts(layers)
+    # widths 2 and 3 are contracted; axis 0 boxes 2, 4, 1; axis 1 boxes 3, 1, 2
+    assert weight == 6
+    assert [p.tolist() for p in profiles] == [[1, 2, 2, 2, 1], [1, 2, 2, 1]]
+    assert peak == 6 * 2 * 2
+    one = effective_counts(layers[:1])
+    assert one.weight == 1 and [p.tolist() for p in one.profiles] == [[1, 1], [1, 1, 1]]
+    assert one.peak == 1
+    with pytest.raises(ValueError, match="^no layers$"):
+        effective_counts([])
+    deep = collapse(Model(layers))
+    assert deep.effective_counts is not None
+    with pytest.raises(ValueError, match="closed-form effective counts"):
+        DeepEpitome(deep.bank, (1, 3), deep.effective_shape, effective_counts(layers[1:]))
+    with pytest.raises(ValueError, match="closed-form effective counts"):
+        DeepEpitome(Bank(deep.bank.g, deep.bank.s), (1, 3), deep.effective_shape, deep.effective_counts)
+
+
+def test_factor_profiles_past_int64_stay_exact():
+    # profile bounds of 2**62 * 2 send both convolutions through Python
+    # ints; the first's peak 2**62 fits, and its profiles come back int64
+    a, b = _factored(1, [[2**31, 1]]), _factored(1, [[2**31, 1]])
+    out = composite_convolve(a, b)
+    assert out.s.tolist() == [[[2**62, 2**32, 1]]]
+    assert [p.dtype for p in out._factors.profiles] == [np.dtype(np.int64)]
+    assert np.array_equal(out.s, reference_composite(a, b).s)
+    a, b = _factored(1, [[2**40, 2**40]]), _factored(1, [[2**40, 2**40]])
+    with pytest.raises(CountOverflowError, match=f"summand count {2**81} exceeds"):
+        composite_convolve(a, b)
 
 
 # --- effective shape and collapse -------------------------------------------

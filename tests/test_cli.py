@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in-process via cli.main."""
 
+import json
 import os
 import struct
 
@@ -508,6 +509,72 @@ def test_bench_refuses_timings_when_a_rep_differs(model_file, monkeypatch, capsy
         "error: one-step rep 1 differs from the gated output, refusing to report timings\n"
     )
     assert len(calls) == 2
+
+
+def test_bench_json_adds_each_gated_run(model_file, tmp_path, capsys):
+    path, model = model_file
+    record = tmp_path / "BENCH_model.json"
+    for size in ("12", "9"):
+        assert main(["bench", "--model", path, "--input-size", size, "--reps", "3",
+                     "--crop", "same", "--json", str(record)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # stdout is the same CSV as without --json
+        assert lines[0] == "mode,rep,seconds" and len(lines) == 1 + 1 + 3 + 3
+    data = json.loads(record.read_text())
+    assert data["model"]["layers"][1] == {"name": "conv2", "weights": [3, 2, 3, 3], "stride": [2, 2]}
+    assert data["model"]["deep_epitome"] == [2, 1, 9, 9]
+    assert [(run["input_size"], run["crop"]) for run in data["runs"]] == [(12, "same"), (9, "same")]
+    for run in data["runs"]:
+        assert set(run["environment"]) == {"cpus", "python", "numpy", "blas_threads"}
+        assert run["environment"]["numpy"] == np.__version__
+        assert list(run["modes"]) == ["collapse", "layered", "one_step"]
+        assert [run["modes"][m]["reps"] for m in run["modes"]] == [1, 3, 3]
+        assert run["modes"]["collapse"]["iqr_s"] == 0
+        assert all(mode["median_s"] > 0 and mode["iqr_s"] >= 0 for mode in run["modes"].values())
+
+
+def test_bench_json_is_written_only_after_both_checks(model_file, tmp_path, monkeypatch, capsys):
+    path, _ = model_file
+    record = tmp_path / "BENCH_model.json"
+    layered_forward = oracle.layered_forward
+
+    def perturbed(model, input_bank, fill="replicate"):
+        reference = layered_forward(model, input_bank, fill)
+        return Bank(reference.g * (1 + 1e-6), reference.s)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "layered_forward", perturbed)
+        assert main(["bench", "--model", path, "--input-size", "8", "--json", str(record)]) == 1
+    calls = []
+
+    def corrupted(input_bank, deep, crop="full"):
+        out = apply(input_bank, deep, crop)
+        calls.append(crop)
+        if len(calls) == 2:
+            out = Bank(out.g + 1e-3, out.s)
+        return out
+
+    monkeypatch.setattr("ghne.cli.apply", corrupted)
+    assert main(["bench", "--model", path, "--input-size", "8", "--json", str(record)]) == 1
+    assert not record.exists() and capsys.readouterr().out == ""
+
+
+def test_bench_json_refuses_a_record_it_cannot_add_to(model_file, tmp_path, capsys):
+    path, _ = model_file
+    record = tmp_path / "BENCH_model.json"
+    other = tmp_path / "other.ghnm"
+    save_model(Model([LayerSpec("only", np.full((1, 1, 2, 2), 0.5))]), other)
+    assert main(["bench", "--model", str(other), "--input-size", "6", "--json", str(record)]) == 0
+    kept = record.read_text()
+    capsys.readouterr()
+    assert main(["bench", "--model", path, "--input-size", "8", "--json", str(record)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "holds bench runs of another model" in captured.err
+    for text in ("[]", "{}", "not json"):
+        record.write_text(text)
+        assert main(["bench", "--model", path, "--input-size", "8", "--json", str(record)]) == 2
+        assert capsys.readouterr().out == ""
+    record.write_text(kept)
 
 
 def test_stats_constant_half_bank(tmp_path, capsys):

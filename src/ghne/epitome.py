@@ -430,11 +430,11 @@ def _count_factors(a, b, window):
     return factors._replace(profiles=tuple(p.astype(np.int64) for p in factors.profiles))
 
 
-def _convolved_factors(fa, fb, k, window=None):
+def _convolved_factors(fa, fb, k, window):
     """Exact _Factors of sum_k conv(s_a, s_b): weight k * w_a * w_b, profiles p_a * p_b.
 
-    Each 1-D convolution is full, sliced by the window unless it is None,
-    in int64 when no entry can reach 2**63, else in Python ints.
+    Each full 1-D convolution, sliced by the window, is taken in int64
+    when no entry can reach 2**63, else in Python ints.
     """
     # no profile entry passes its peak over its weight, and an entry of a
     # convolution sums at most the shorter profile's length of products
@@ -444,7 +444,7 @@ def _convolved_factors(fa, fb, k, window=None):
         if bound * min(len(p), len(q)) > _INT64_MAX:
             p, q = p.astype(object), q.astype(object)
         full = np.convolve(p, q)
-        profiles.append(full if window is None else full[window[axis]])
+        profiles.append(full[window[axis]])
     weight = k * fa.weight * fb.weight
     return _Factors(weight, tuple(profiles), weight * math.prod(int(p.max()) for p in profiles))
 

@@ -9,6 +9,7 @@ written atomically, so a failing run never leaves a partial file.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -339,6 +340,9 @@ def cmd_demo(args) -> int:
     return _EXIT_OK if ok else _EXIT_VERIFY
 
 
+# built once per process: parsing leaves the parser as it was, and a caller
+# such as the benchmark's pipeline runs main twice per op
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ghne",

@@ -1,6 +1,6 @@
 """File formats: models in, epitomes/features/stats out.
 
-Three formats, all little-endian where binary:
+Four formats, all little-endian where binary:
 
 * Model files (text): a ``ghne-model v1`` header, then per layer a
   ``layer <name>`` line followed by ``filters``, ``channels``,
@@ -18,6 +18,10 @@ Three formats, all little-endian where binary:
   map to normalized values p/255 on read; on write, values are min-max
   scaled to 0..255 with the bounds recorded in a ``scaling.txt``
   sidecar (a constant member renders as mid-gray 128).
+
+* Features (CSV): ``filter,channel,<axes>,value``, one row per entry of
+  a bank, produced and held one member at a time, so a large bank's
+  file never sits in memory whole.
 
 All writes go through a temp file and an atomic rename, so a failed
 command never leaves a partial file behind.
@@ -97,13 +101,19 @@ _ONE_INT, _EXTENTS = "one positive integer", "positive integer extents"
 _FIELD_SYNTAX = {"filters": _ONE_INT, "channels": _ONE_INT, "kernel": _EXTENTS, "stride": _EXTENTS}
 
 
-def _atomic_write(path, data: bytes):
+def _atomic_write(path, chunks):
+    """Write an iterable of byte chunks to path through a temp file and a rename.
+
+    The chunks are drawn one at a time; if one of them raises, or the write
+    fails, the temp file is removed and path is left as it was.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ghne-tmp-")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -132,7 +142,7 @@ def _fmt(x) -> str:
 
 def write_text(path, text: str):
     """Write a UTF-8 text file atomically (temp file + rename)."""
-    _atomic_write(path, text.encode("utf-8"))
+    _atomic_write(path, [text.encode("utf-8")])
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +150,11 @@ def write_text(path, text: str):
 
 
 def _model_lines(path):
+    """The (line number, text) of each line with more than a comment, stripped.
+
+    Lines stay strings here: a list of words per line would make a wide
+    inline layer millions of objects for the garbage collector to scan.
+    """
     with open(path, "rb") as f:
         data = f.read()
     try:
@@ -149,12 +164,7 @@ def _model_lines(path):
         lineno = len((data[: e.start].decode("utf-8") + "x").splitlines())
         message = f"not UTF-8 text: {e.reason} at byte {e.start}"
         raise ModelFormatError(f"{path}:{lineno}: {message}") from e
-    lines = []
-    for lineno, line in enumerate(raw, 1):
-        body = line.split("#", 1)[0].strip()
-        if body:
-            lines.append((lineno, body.split()))
-    return lines
+    return [(n, body) for n, line in enumerate(raw, 1) if (body := line.partition("#")[0].strip())]
 
 
 def load_model(path) -> Model:
@@ -169,17 +179,21 @@ def load_model(path) -> Model:
     def fail(lineno, msg):
         raise ModelFormatError(f"{path}:{lineno}: {msg}")
 
+    def words_at(k):
+        lineno, body = lines[k]
+        return lineno, body.split()
+
     lines = _model_lines(path)
     if not lines:
         raise ModelFormatError(f"{path}: empty model file, expected '{_MODEL_HEADER}' header")
-    lineno, words = lines[0]
+    lineno, words = words_at(0)
     if words != _MODEL_HEADER.split():
         fail(lineno, f"expected header '{_MODEL_HEADER}', got {' '.join(words)!r}")
 
     layers = []
     pos = 1
     while pos < len(lines):
-        lineno, words = lines[pos]
+        lineno, words = words_at(pos)
         if words[0] != "layer" or len(words) != 2:
             fail(lineno, f"expected 'layer <name>', got {' '.join(words)!r}")
         name = words[1]
@@ -189,7 +203,7 @@ def load_model(path) -> Model:
 
         fields = {}
         while pos < len(lines):
-            lineno, words = lines[pos]
+            lineno, words = words_at(pos)
             key, args = words[0], words[1:]
             if key in ("layer", "weights"):
                 break
@@ -213,24 +227,30 @@ def load_model(path) -> Model:
         count = math.prod(shape)
         if words[1:] == ["inline"]:
             pos += 1
-            values = []
-            while len(values) < count and pos < len(lines):
-                vline, vwords = lines[pos]
+            start, tokens = pos, []
+            while len(tokens) < count and pos < len(lines):
+                vwords = lines[pos][1].split()
                 if vwords[0] in ("layer", "weights"):
                     break
-                for w in vwords:
-                    try:
-                        values.append(float(w))
-                    except ValueError:
-                        fail(vline, f"layer {name!r}: bad weight value {w!r}")
+                tokens += vwords
                 pos += 1
-            if len(values) != count:
+            try:
+                weights = np.fromiter(map(float, tokens), np.float64, len(tokens))
+            except ValueError:
+                # rescanned only on failure, to name the first bad token and its line
+                for vline, body in lines[start:pos]:
+                    for w in body.split():
+                        try:
+                            float(w)
+                        except ValueError:
+                            fail(vline, f"layer {name!r}: bad weight value {w!r}")
+                raise
+            if len(tokens) != count:
                 fail(
                     lineno,
                     f"layer {name!r}: expected {count} weights "
-                    f"(filters*channels*kernel), got {len(values)}",
+                    f"(filters*channels*kernel), got {len(tokens)}",
                 )
-            weights = np.array(values)
         elif len(words) == 3 and words[1] == "blob":
             rel = words[2]
             if os.path.isabs(rel):
@@ -276,20 +296,30 @@ def load_model(path) -> Model:
 
 
 def save_model(model: Model, path):
-    """Write a model file with inline weights, atomically."""
-    lines = [_MODEL_HEADER]
-    for layer in model.layers:
-        lines.append(f"layer {layer.name}")
-        lines.append(f"filters {layer.out_filters}")
-        lines.append(f"channels {layer.in_channels}")
-        lines.append("kernel " + " ".join(str(e) for e in layer.kernel_shape))
-        lines.append("stride " + " ".join(str(v) for v in layer.stride))
-        lines.append("weights inline")
-        flat = layer.weights.ravel()
-        row = layer.kernel_shape[-1]
-        for start in range(0, flat.size, row):
-            lines.append(" ".join(_fmt(v) for v in flat[start : start + row]))
-    write_text(path, "\n".join(lines) + "\n")
+    """Write a model file with inline weights, atomically.
+
+    A layer's weights are one %-format of its values, a kernel row per line,
+    and the file is written a layer at a time.
+    """
+
+    def chunks():
+        yield f"{_MODEL_HEADER}\n".encode("utf-8")
+        for layer in model.layers:
+            head = [
+                f"layer {layer.name}",
+                f"filters {layer.out_filters}",
+                f"channels {layer.in_channels}",
+                "kernel " + " ".join(str(e) for e in layer.kernel_shape),
+                "stride " + " ".join(str(v) for v in layer.stride),
+                "weights inline\n",
+            ]
+            row = layer.kernel_shape[-1]
+            # %r of a Python float is _fmt
+            rows = (" ".join(["%r"] * row) + "\n") * (layer.weights.size // row)
+            text = "\n".join(head) + rows % tuple(layer.weights.ravel().tolist())
+            yield text.encode("utf-8")
+
+    _atomic_write(path, chunks())
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +337,7 @@ def save_epitome(bank, path):
     entries = np.empty(bank.g.shape, dtype=_PAIR_DTYPE)
     entries["g"] = bank.g
     entries["s"] = bank.s.astype(np.uint64)
-    _atomic_write(path, header + entries.tobytes())
+    _atomic_write(path, [header, entries.tobytes()])
 
 
 def load_epitome(path) -> Bank:
@@ -406,7 +436,7 @@ def _write_pnm(path, pixels):
     """Write (h, w) uint8 pixels as binary PGM (P5), (h, w, 3) as PPM (P6)."""
     h, w = pixels.shape[:2]
     magic = "P5" if pixels.ndim == 2 else "P6"
-    _atomic_write(path, f"{magic}\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes())
+    _atomic_write(path, [f"{magic}\n{w} {h}\n255\n".encode("ascii"), pixels.tobytes()])
 
 
 def write_pgm(path, pixels):
@@ -526,19 +556,26 @@ def write_features_csv(bank: Bank, path):
     """Every normalized entry with its coordinates, one row per entry.
 
     Columns: filter,channel,<one per spatial axis>,value; spatial axes
-    are named row,col for rank 2 and axis0,axis1,... otherwise.
+    are named row,col for rank 2 and axis0,axis1,... otherwise.  The
+    file is produced and held one member at a time: a member's rows are
+    one %-format of its g/s, written before the next member's are made.
     """
     if bank.rank == 2:
         axis_names = ["row", "col"]
     else:
         axis_names = [f"axis{k}" for k in range(bank.rank)]
-    lines = ["filter,channel," + ",".join(axis_names) + ",value"]
-    values = bank.values()
+    header = "filter,channel," + ",".join(axis_names) + ",value\n"
     axes = itertools.product(*(map(str, range(n)) for n in bank.spatial_shape))
-    coords = [",".join(idx) for idx in axes]
-    for i in range(bank.m):
-        for j in range(bank.c):
-            # repr of a Python float is _fmt; one tolist per member keeps the peak low
-            member = values[i, j].ravel().tolist()
-            lines += [f"{i},{j},{xy},{v!r}" for xy, v in zip(coords, member)]
-    write_text(path, "\n".join(lines) + "\n")
+    # %r of a Python float is _fmt
+    lines = [",".join(idx) + ",%r\n" for idx in axes]
+
+    def chunks():
+        yield header.encode("ascii")
+        for i in range(bank.m):
+            for j in range(bank.c):
+                prefix = f"{i},{j},"
+                member = bank.g[i, j] / bank.s[i, j]
+                rows = prefix + prefix.join(lines)
+                yield (rows % tuple(member.ravel().tolist())).encode("ascii")
+
+    _atomic_write(path, chunks())

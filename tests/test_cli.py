@@ -716,3 +716,26 @@ def test_no_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_main_runs_again_after_a_usage_error(model_file, image_file, tmp_path, capsys):
+    # one parser serves every main call in a process; an argument error leaves it as it was
+    deep = finish_collapse(model_file, tmp_path)
+    capsys.readouterr()
+
+    def run_apply(out):
+        argv = ["apply", "--epitome", deep, "--input", image_file, "--crop", "same", "--negate"]
+        assert main(argv + ["--out", str(out)]) == 0
+        return capsys.readouterr().out.replace(str(out), "OUT")
+
+    first = run_apply(tmp_path / "first")
+    with pytest.raises(SystemExit) as exc:
+        main(["apply", "--epitome", deep, "--crop", "sideways", "--out", str(tmp_path / "bad")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'sideways'" in capsys.readouterr().err
+    assert run_apply(tmp_path / "second") == first
+    names = sorted(os.listdir(tmp_path / "first"))
+    assert names == sorted(os.listdir(tmp_path / "second")) and "features.csv" in names
+    for name in names:
+        assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "second" / name).read_bytes()
+    assert not (tmp_path / "bad").exists()

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from ghne import (
 from ghne.cli import main
 from ghne.model_io import (
     FormatError,
+    _atomic_write,
+    _fmt,
     write_features_csv,
     write_member_images,
     write_pgm,
@@ -102,6 +105,43 @@ def test_model_inline_weights_round_trip_bitwise(tmp_path):
     path = tmp_path / "one.ghnm"
     save_model(Model([LayerSpec("only", w, 1)]), path)
     assert load_model(path).layers[0].weights.tobytes() == w.tobytes()
+
+
+def model_text(model):
+    # weight by weight through _fmt, one kernel row per line, the way the file is specified
+    lines = ["ghne-model v1"]
+    for layer in model.layers:
+        lines += [
+            f"layer {layer.name}",
+            f"filters {layer.out_filters}",
+            f"channels {layer.in_channels}",
+            "kernel " + " ".join(map(str, layer.kernel_shape)),
+            "stride " + " ".join(map(str, layer.stride)),
+            "weights inline",
+        ]
+        flat, row = layer.weights.ravel(), layer.kernel_shape[-1]
+        lines += [" ".join(_fmt(v) for v in flat[k : k + row]) for k in range(0, flat.size, row)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kernels", [[(5,)], [(2, 3), (3, 1)], [(2, 1, 2), (1, 2, 3)]])
+def test_save_model_matches_weightwise_text(tmp_path, kernels):
+    rng = np.random.default_rng(6)
+    widths = [2, 3, 2][: len(kernels) + 1]
+    layers = []
+    for k, kernel in enumerate(kernels):
+        shape = (widths[k + 1], widths[k]) + kernel
+        # both signs, and magnitudes whose repr takes an exponent
+        w = rng.uniform(-1, 1, shape) * 10.0 ** rng.choice([-300, -9, 0, 17, 300], size=shape)
+        w.flat[0] = -0.0
+        layers.append(LayerSpec(f"conv{k + 1}", w, k + 1))
+    model = Model(layers)
+    path = tmp_path / "m.ghnm"
+    save_model(model, path)
+    text = path.read_text()
+    assert text == model_text(model)
+    assert all(mark in text for mark in ("e-", "e+", " -"))
+    assert same_model(load_model(path), model)
 
 
 def test_model_parses_comments_and_blanks(tmp_path):
@@ -853,17 +893,41 @@ def feature_rows(bank, axis_names):
 
 @pytest.mark.parametrize(
     "shape, axis_names",
-    [((2, 3, 2, 3), ["row", "col"]), ((1, 2, 2, 3, 2), ["axis0", "axis1", "axis2"])],
+    [
+        ((2, 3, 2, 3), ["row", "col"]),
+        ((1, 2, 2, 3, 2), ["axis0", "axis1", "axis2"]),
+        ((3, 2, 7), ["axis0"]),
+    ],
 )
 def test_features_csv_matches_entrywise_rows(tmp_path, shape, axis_names):
     rng = np.random.default_rng(4)
-    bank = random_bank(rng, m=shape[0], c=shape[1], shape=shape[2:], max_count=9)
-    g = bank.g.copy()
+    # both signs, and magnitudes whose repr takes an exponent: below 1e-4 and from 1e16 up
+    scale = 10.0 ** rng.choice([-300, -17, -5, 0, 2, 16, 22, 300], size=shape)
+    g = rng.uniform(-2, 2, shape) * scale
     g.flat[-1] = -0.0
-    bank = Bank(g, bank.s)
-    p = tmp_path / "f.csv"
-    write_features_csv(bank, p)
-    assert p.read_text() == "\n".join(feature_rows(bank, axis_names)) + "\n"
+    # each member its own counts, then one grid that every member shares
+    for counts_shape in (shape, shape[2:]):
+        bank = Bank(g, np.broadcast_to(rng.integers(1, 10, counts_shape), shape))
+        p = tmp_path / "f.csv"
+        write_features_csv(bank, p)
+        text = p.read_text()
+        assert text == "\n".join(feature_rows(bank, axis_names)) + "\n"
+        assert all(mark in text for mark in ("e-", "e+", ",-"))
+
+
+def test_features_csv_peak_memory_is_about_one_member(tmp_path):
+    # 16 members of 256x256: the whole file's rows held at once traced 163 MiB
+    g = np.random.default_rng(8).uniform(0, 1, (16, 1, 256, 256))
+    bank = Bank(g, np.ones(g.shape, dtype=np.int64))
+    tracemalloc.start()
+    try:
+        write_features_csv(bank, tmp_path / "f.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20, peak / 2**20
+    with open(tmp_path / "f.csv") as f:
+        assert sum(1 for _ in f) == 1 + g.size
 
 
 def test_features_csv_other_rank_names_axes(tmp_path):
@@ -894,6 +958,21 @@ def test_failed_write_leaves_no_temp_file(tmp_path):
     with pytest.raises(IsADirectoryError):
         write_text(tmp_path / "taken", "x")
     assert os.listdir(tmp_path) == ["taken"]
+
+    def chunks():
+        yield b"the first half\n"
+        raise RuntimeError("no second half")
+
+    # a chunk that raises halfway leaves neither the target nor a temp file
+    with pytest.raises(RuntimeError, match="no second half"):
+        _atomic_write(tmp_path / "half.txt", chunks())
+    assert os.listdir(tmp_path) == ["taken"]
+    # and a target that was there stays as it was
+    write_text(tmp_path / "kept.txt", "kept\n")
+    with pytest.raises(RuntimeError, match="no second half"):
+        _atomic_write(tmp_path / "kept.txt", chunks())
+    assert sorted(os.listdir(tmp_path)) == ["kept.txt", "taken"]
+    assert (tmp_path / "kept.txt").read_text() == "kept\n"
 
 
 # --- mutated files -------------------------------------------------------------

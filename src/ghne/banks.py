@@ -37,6 +37,7 @@ from .epitome import (
     _INT64_MAX,
     _bank_convolve,
     _Factors,
+    _grid_factors,
     _histogram,
     _mean_fuzziness,
     _PairGrid,
@@ -75,21 +76,17 @@ class Bank(_PairGrid):
 
     Counts that every member shares, as those of normalized layers and
     inputs and of every convolution of them do, are stored once: s is
-    then one read-only int64 grid broadcast to (m, c, *spatial), which
-    bank_convolve contracts once instead of m * c times.  _PairGrid's
-    rule finds them over the two member axes: from the strides of a
-    broadcast, else by comparing dense counts once.  A composite_convolve
-    result keeps the kernel's counts as they come: one grid whenever
-    each operand's counts are one grid.
+    then one read-only int64 grid broadcast to (m, c, *spatial), found
+    by _PairGrid's rule from a broadcast's strides, else by comparing
+    dense counts once.  When that grid is w * outer(p_a), the bank holds
+    those exact factors too (epitome._Factors), whatever made it, and
+    composite_convolve convolves the factors of two such banks instead
+    of contracting counts; its result keeps the kernel's factors.
 
     A bank from layer_to_bank also keeps the taps its resized kernel is
     made of, which composite_convolve passes to the kernel, and builds
-    that kernel, g, only when g is first read.  Its counts, a normalized
-    input's in apply, and those of every composite_convolve of two such
-    banks, are also held as exact per-axis factors (epitome._Factors),
-    from which the kernel computes the counts of a convolution without
-    contracting any count grid.  No other bank has taps or factors, so
-    a copy, crop or saved file is a plain bank with the same g and s.
+    that kernel, g, only when g is first read.  No other bank has taps,
+    so a copy, crop or saved file holds just g, s and s's factors.
     """
 
     __slots__ = ("_taps", "_factors")
@@ -99,7 +96,7 @@ class Bank(_PairGrid):
 
     def __init__(self, g, s):
         super().__init__(g, s)
-        self._taps = self._factors = None
+        self._taps, self._factors = None, _grid_factors(self.s)
 
     @property
     def g(self) -> np.ndarray:
@@ -138,15 +135,6 @@ class Bank(_PairGrid):
         bank = cls.__new__(cls)
         bank._g, bank._taps, bank._factors = g, None, factors
         bank.s = s if s.shape == g.shape else _shared(s, g.shape)
-        return bank
-
-    def _with_ones_factors(self):
-        """This normalized bank, its counts held as factors: weight 1, all-ones profiles."""
-        if self._factors is not None:
-            return self
-        bank = type(self).__new__(type(self))
-        bank._g, bank.s, bank._taps = self._g, self.s, self._taps
-        bank._factors = _ones_factors(self.spatial_shape)
         return bank
 
     # shapes are read from s, which a layer bank holds before its g
@@ -495,7 +483,7 @@ def apply(input_bank: Bank, deep, crop: str = "full") -> Bank:
     pairs = list(zip(input_bank.spatial_shape, deep_bank.spatial_shape))
     target = tuple(n - d + 1 for n, d in pairs) if crop == "valid" else input_bank.spatial_shape
     window = _crop_window(tuple(n + d - 1 for n, d in pairs), target, crop)
-    out = composite_convolve(input_bank._with_ones_factors(), deep_bank, window)
+    out = composite_convolve(input_bank, deep_bank, window)
     # the identity, as the window is the crop; perfbench's extract trace
     # reads its span
     return crop_bank(out, target, crop)

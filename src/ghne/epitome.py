@@ -247,16 +247,13 @@ def bank_convolve(ga, sa, gb, sb, window=None):
     shifted copies, so g may differ from the dense product in the last
     bit; counts never do.
 
-    Counts are contracted from the operands as given, before any role
-    swap: two shared grids (see _distinct_counts) once, with weight k,
-    since every output member then counts k * conv(grid_a, grid_b), and
-    member arrays otherwise; in float64 when no partial sum can reach
-    2**53 (each is then an exact integer in any order), else in int64
-    when none can reach 2**63, else in Python ints.  Banks that hold
-    their counts as per-axis factors (see _Factors) contract none: their
-    1-D factors are convolved.  s is a read-only int64 array broadcast
-    to (m, c, *window); a count past the int64 maximum raises
-    CountOverflowError, which the CLI reports with exit code 2.
+    When both operands hold per-axis count factors (see _Factors and
+    Bank), their 1-D factors are convolved and no count is contracted.
+    Otherwise the member count arrays are contracted as given, before
+    any role swap: in int64 when no partial sum can reach 2**63, else in
+    Python ints.  s is a read-only int64 array broadcast to (m, c,
+    *window); a count past the int64 maximum raises CountOverflowError,
+    which the CLI reports with exit code 2.
 
     g = s / 2 - T / 2 has an absolute error of about eps * s, so g keeps
     its relative precision only while |g| / s is not much below 1.  Data
@@ -284,8 +281,7 @@ class _Factors(NamedTuple):
 
     Profiles are exact counts >= 1: int64 on a bank, Python ints (dtype
     object) where they would not fit.  peak, the largest count, is exact
-    too.  Layer banks and apply's inputs have weight 1 and all-ones
-    profiles; see _convolved_factors.
+    too.  See _grid_factors and _convolved_factors for a bank's.
     """
 
     weight: int
@@ -302,6 +298,27 @@ class _Factors(NamedTuple):
             s = np.multiply.outer(s, p)
         s.setflags(write=False)
         return s.reshape((1, 1) + s.shape)
+
+
+def _grid_factors(s):
+    """_Factors of counts s (m, c, *grid) whose members share one grid w * outer(p_a), else None.
+
+    p_a is the grid's line along axis a through its first entry over the
+    line's gcd, and w that entry over prod_a p_a[0], exact if the grid
+    factors (Gauss's lemma).  They are kept only if their Python-int
+    peak is the grid's maximum, so that the grid they make cannot wrap,
+    and that grid is s's.
+    """
+    grid = _distinct_counts(s, 2, compare=False)
+    if grid.shape[:2] != (1, 1):
+        return None
+    corner = (0,) * grid.ndim
+    lines = [grid[corner[:a] + (slice(None),) + corner[a + 1 :]] for a in range(2, grid.ndim)]
+    profiles = tuple(x // np.gcd.reduce(x) for x in lines)
+    weight = int(grid[corner]) // math.prod(int(p[0]) for p in profiles)
+    factors = _Factors(weight, profiles, weight * math.prod(int(p.max()) for p in profiles))
+    exact = factors.peak == int(grid.max()) and np.array_equal(factors.grid(), grid)
+    return factors if exact else None
 
 
 class _Arrays(NamedTuple):
@@ -425,9 +442,7 @@ def _count_factors(a, b, window):
     factors = _convolved_factors(a._factors, b._factors, a.s.shape[0], window)
     if factors.peak > _INT64_MAX:
         raise _count_overflow(factors.peak)
-    if all(p.dtype == np.int64 for p in factors.profiles):
-        return factors
-    return factors._replace(profiles=tuple(p.astype(np.int64) for p in factors.profiles))
+    return factors._replace(profiles=tuple(np.asarray(p, np.int64) for p in factors.profiles))
 
 
 def _convolved_factors(fa, fb, k, window):
@@ -452,21 +467,14 @@ def _convolved_factors(fa, fb, k, window):
 def _counts(sa, sb, window):
     """sum_k conv(sa[k, j], sb[i, k]) over the window: exact, read-only int64 counts.
 
-    Two shared grids are contracted once with weight k, else the member
-    arrays with weight 1, in the narrowest exact type (see bank_convolve).
+    Contracted in the narrowest exact type (see bank_convolve).
     """
-    (k, c), grid_a = sa.shape[:2], sa.shape[2:]
-    grid_b = sb.shape[2:]
-    grids = tuple(_distinct_counts(x, 2, compare=False) for x in (sa, sb))
-    weight = 1
-    if all(x.shape[:2] == (1, 1) for x in grids):
-        (sa, sb), weight = grids, k
     # an output entry sums at most k * prod(min(A_i, B_i)) terms, each at
-    # most max(s_a) * max(s_b), so no weighted partial sum passes the bound
-    terms = k * math.prod(min(x, y) for x, y in zip(grid_a, grid_b))
-    bound = int(grids[0].max()) * int(grids[1].max()) * terms
-    count_type = np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
-    return _int64_counts(weight * _contract(sa, sb, window, count_type, (1,) * len(window)))
+    # most max(s_a) * max(s_b), so no partial sum passes the bound
+    terms = sa.shape[0] * math.prod(min(x, y) for x, y in zip(sa.shape[2:], sb.shape[2:]))
+    bound = int(sa.max()) * int(sb.max()) * terms
+    count_type = np.int64 if bound < 2**63 else object
+    return _int64_counts(_contract(sa, sb, window, count_type, (1,) * len(window)))
 
 
 def _contract(a, b, window, dtype, step):
@@ -557,7 +565,7 @@ def _distinct_counts(s, member_axes, compare=True):
 
     The first member_axes axes of s index members.  A member axis of
     extent 1 or stride 0 (a broadcast) is shared; dense counts are then
-    compared, unless compare is False, as for bank_convolve's operands.
+    compared, unless compare is False, as for counts already stored.
     """
     grid = s[(slice(0, 1),) * member_axes]
     steps = zip(s.shape[:member_axes], s.strides[:member_axes])
@@ -567,7 +575,7 @@ def _distinct_counts(s, member_axes, compare=True):
 
 
 def _int64_counts(s):
-    """Exact counts (float64, signed, unsigned or Python ints) as a new read-only int64 array.
+    """Exact counts (signed, unsigned or Python ints) as a new read-only int64 array.
 
     A count past the int64 maximum raises CountOverflowError.
     """

@@ -97,6 +97,8 @@ _VERSION = 1
 _MAX_RANK = 16  # the most spatial axes a GHNE file may declare
 _PAIR_DTYPE = np.dtype([("g", "<f8"), ("s", "<u8")])
 _MODEL_HEADER = "ghne-model v1"
+# kernel rows save_model formats per chunk, which bounds its memory
+_MODEL_CHUNK_ROWS = 4096
 _ONE_INT, _EXTENTS = "one positive integer", "positive integer extents"
 _FIELD_SYNTAX = {"filters": _ONE_INT, "channels": _ONE_INT, "kernel": _EXTENTS, "stride": _EXTENTS}
 
@@ -298,8 +300,8 @@ def load_model(path) -> Model:
 def save_model(model: Model, path):
     """Write a model file with inline weights, atomically.
 
-    A layer's weights are one %-format of its values, a kernel row per line,
-    and the file is written a layer at a time.
+    A layer's weights are written a kernel row per line, in chunks of
+    _MODEL_CHUNK_ROWS rows, each one %-format of its values.
     """
 
     def chunks():
@@ -313,11 +315,13 @@ def save_model(model: Model, path):
                 "stride " + " ".join(str(v) for v in layer.stride),
                 "weights inline\n",
             ]
-            row = layer.kernel_shape[-1]
+            yield "\n".join(head).encode("utf-8")
+            rows = layer.weights.reshape(-1, layer.kernel_shape[-1])
             # %r of a Python float is _fmt
-            rows = (" ".join(["%r"] * row) + "\n") * (layer.weights.size // row)
-            text = "\n".join(head) + rows % tuple(layer.weights.ravel().tolist())
-            yield text.encode("utf-8")
+            line = " ".join(["%r"] * rows.shape[1]) + "\n"
+            for start in range(0, len(rows), _MODEL_CHUNK_ROWS):
+                chunk = rows[start : start + _MODEL_CHUNK_ROWS]
+                yield (line * len(chunk) % tuple(chunk.ravel().tolist())).encode("utf-8")
 
     _atomic_write(path, chunks())
 

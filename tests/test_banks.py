@@ -380,8 +380,7 @@ def windowed(monkeypatch):
 
     The dtype and product count are the windowed operand's, gathered as
     (products, c, depth, columns), each product batched over the c
-    channels; the flipped operand has one row per output filter, or one
-    for a shared count grid.
+    channels; the flipped operand has one row per output filter.
     """
     seen = []
     matmul = np.matmul
@@ -458,16 +457,19 @@ def test_composite_row_chunks_do_not_change_general_float_data(monkeypatch):
 
 def test_composite_count_bound_is_the_true_overlap(windowed):
     # a's 3x3 grid is windowed with b's 6x6 grid, but an output entry sums
-    # at most k * 3 * 3 = 18 terms, not k * 36: counts 2**24 x 2**24 are
-    # still contracted in float64, and come back exact
+    # at most k * 3 * 3 = 18 terms, not k * 36: per-member counts up to
+    # 2**29 x 2**29 are still contracted in int64 (18 * 2**58 < 2**63 <
+    # 72 * 2**58), and come back exact
     rng = np.random.default_rng(17)
-    sa, sb = np.full((2, 1, 3, 3), 2**24), np.full((4, 2, 6, 6), 2**24)
+    sa, sb = np.full((2, 1, 3, 3), 2**29), np.full((4, 2, 6, 6), 2**29)
+    sa[1] -= 1
     a = Bank(sa * rng.uniform(0, 1, sa.shape), sa)
     b = Bank(sb * rng.uniform(0, 1, sb.shape), sb)
+    assert a._factors is None
     fast = composite_convolve(a, b)
-    assert {dtype for dtype, *_ in windowed} == {np.dtype(np.float64)}
+    assert {dtype for dtype, *_ in windowed} == {np.dtype(np.float64), np.dtype(np.int64)}
     ref = reference_composite(a, b)
-    assert ref.s.max() == 2**48 * 18
+    assert ref.s.max() == 18 * 2**58 - 9 * 2**29
     assert np.array_equal(ref.s, fast.s)
     assert compare_banks(ref, fast, tol=1e-12).passed
 
@@ -502,16 +504,25 @@ def test_shared_counts_contract_once(windowed):
     ref = reference_composite(a, b)
     assert np.array_equal(ref.s, out.s)
     assert compare_banks(ref, out, tol=1e-12).passed
-    # the same g over one count grid each: the count product has one row,
-    # and the result's counts are one grid too
-    a, b = (Bank(x.g, np.broadcast_to(x.s[:1, :1], x.s.shape)) for x in (a, b))
-    windowed.clear()
-    out = composite_convolve(a, b)
-    assert sorted(rows for *_, rows in windowed) == [1, 4]
-    assert out.s.strides[:2] == (0, 0)
-    ref = reference_composite(a, b)
-    assert np.array_equal(ref.s, out.s)
-    assert compare_banks(ref, out, tol=1e-12).passed
+    # the same g over one separable count grid each: both banks hold it as
+    # factors, whose 1-D profiles are convolved once, so the only product is
+    # T's, and the result's counts are one grid with factors too
+    separable = (2 * np.multiply.outer([1, 3, 2, 1], [2, 1, 1]), np.multiply.outer([1, 2], [1, 1, 3]))
+    a, b = (Bank(x.g, np.broadcast_to(grid, x.s.shape)) for x, grid in zip((a, b), separable))
+    assert a._factors.weight == 2 and b._factors.weight == 1
+    # a shared grid that does not factor, a checkerboard of 1s and 2s, is
+    # contracted as the member arrays it is broadcast to, into per-member counts
+    checkered = Bank(b.g, np.broadcast_to(1 + np.indices((2, 3)).sum(0) % 2, b.s.shape))
+    assert checkered._factors is None
+    for b, products in ((b, [4]), (checkered, [4, 4])):
+        windowed.clear()
+        out = composite_convolve(a, b)
+        assert [rows for *_, rows in windowed] == products
+        factored = out._factors is not None
+        assert factored == (products == [4]) and (out.s.strides[:2] == (0, 0)) == factored
+        ref = reference_composite(a, b)
+        assert np.array_equal(ref.s, out.s)
+        assert compare_banks(ref, out, tol=1e-12).passed
 
 
 def test_shared_counts_past_int64_raise(windowed):
@@ -520,17 +531,18 @@ def test_shared_counts_past_int64_raise(windowed):
     b = Bank(np.zeros((2, 3, 2)), np.full((2, 3, 2), 2**31))
     with pytest.raises(CountOverflowError, match=str(6 * 2**62)):
         composite_convolve(a, b)
-    # the count grid was contracted once, in Python ints
-    assert [rows for dtype, _, rows in windowed if dtype == object] == [1]
+    # both banks hold their counts as factors, which named the count
+    # before any product ran
+    assert a._factors.weight == b._factors.weight == 2**31
+    assert windowed == []
 
 
 @pytest.mark.parametrize(
-    "peak, count_type",
-    [(2**50 - 1, np.float64), (2**50, np.int64), (2**60 - 1, np.int64), (2**60, object)],
+    "peak, count_type", [(2**50, np.int64), (2**60 - 1, np.int64), (2**60, object)]
 )
 def test_member_counts_at_the_count_type_edges(windowed, peak, count_type):
     # the count bound is peak * max(sb) = 2 times 4 terms (2 contracted
-    # members, 2 overlapping entries): 2**53 - 8, 2**53, 2**63 - 8, 2**63.
+    # members, 2 overlapping entries): 2**53, 2**63 - 8, 2**63.
     # Counts vary by member, so both banks contract their own arrays.
     sa = np.array([[[peak, 3]], [[2, 1]]])
     sb = np.array([[[2, 1], [1, 1]], [[1, 1], [1, 2]]])
@@ -562,22 +574,24 @@ def test_member_counts_past_int64_raise(windowed):
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_box_sum_counts_at_the_int64_edge(windowed, side, peak, count_type):
     # one operand's counts are all 1, so the output counts are the other's
-    # box sums: [peak, 2 * peak, peak], a grid pair whose bound is 2 * peak,
-    # 2**63 - 2 in int64 or 2**63 in Python ints
+    # box sums: [peak, 2 * peak, peak], whose largest, 2 * peak, is
+    # 2**63 - 2, an int64, or 2**63, which takes Python ints.  Both banks
+    # hold their counts as factors, so the counts come from 1-D profiles
     ones = Bank(np.zeros((1, 1, 2)), np.ones((1, 1, 2), dtype=np.int64))
     big = Bank(np.zeros((1, 1, 2)), np.full((1, 1, 2), peak))
+    assert big._factors.weight == peak and big._factors.profiles[0].tolist() == [1, 1]
     a, b = (ones, big) if side == "left" else (big, ones)
     if count_type is object:
         with pytest.raises(CountOverflowError, match=f"summand count {2**63} exceeds"):
             composite_convolve(a, b)
+        # named before any product
+        assert windowed == []
     else:
         out = composite_convolve(a, b)
         assert out.s.tolist() == [[[peak, 2 * peak, peak]]]
         assert np.array_equal(reference_composite(a, b).s, out.s)
-    # T in float64, then the one count product of the two grids
-    assert [(dtype, rows) for dtype, _, rows in windowed] == [
-        (np.dtype(np.float64), 1), (np.dtype(count_type), 1)
-    ]
+        # T in float64, and no count product
+        assert [(dtype, rows) for dtype, _, rows in windowed] == [(np.dtype(np.float64), 1)]
 
 
 @pytest.mark.parametrize("half", [2**61 - 1, 2**61])
@@ -594,7 +608,7 @@ def test_windowed_apply_counts_at_the_int64_edge(half):
                 apply(x, deep, crop)
         else:
             assert int(apply(x, deep, crop).s.max()) == 4 * half
-    # per-member counts take the same path: summed over k, then box-summed
+    # per-member counts are contracted
     s[0, 1] -= 1
     deep = Bank(np.zeros((1, 2, 2)), s)
     assert np.array_equal(apply(x, deep, "full").s, reference_composite(x, deep).s)
@@ -632,7 +646,7 @@ def test_layer_bank_taps_do_not_change_its_meaning(tmp_path, fill, stride):
 def test_layer_bank_contracts_its_taps(monkeypatch):
     # the gathered operand holds k * |K| rows, the taps of a 2x3 kernel,
     # not the 4x9 resized grid; the counts of an input and a layer, both
-    # held as factors, need no matrix product
+    # held as factors, need no matrix product, nor do a plain copy's
     depths = []
     matmul = np.matmul
 
@@ -643,7 +657,7 @@ def test_layer_bank_contracts_its_taps(monkeypatch):
     monkeypatch.setattr(np, "matmul", spy)
     rng = np.random.default_rng(26)
     layer = LayerSpec("l", rng.uniform(0, 1, (8, 2, 2, 3)), (2, 3))
-    x = random_input(rng, channels=2, shape=(6, 6))._with_ones_factors()
+    x = random_input(rng, channels=2, shape=(6, 6))
     for fill in ("replicate", "fuzzy"):
         depths.clear()
         composite_convolve(x, layer_to_bank(layer, fill))
@@ -651,8 +665,8 @@ def test_layer_bank_contracts_its_taps(monkeypatch):
     depths.clear()
     bank = layer_to_bank(layer)
     composite_convolve(x, Bank(bank.g, bank.s))
-    # T over the resized grid, then the counts of the two plain grids
-    assert depths == [(np.dtype(np.float64), 2 * 36), (np.dtype(np.float64), 36)]
+    # T over the resized grid alone
+    assert depths == [(np.dtype(np.float64), 2 * 36)]
 
 
 # --- the kernel writes g once ----------------------------------------------
@@ -843,7 +857,7 @@ def _deep():
 def _factor_free(bank):
     """bank with its g, s and taps but no count factors, so its counts are contracted."""
     copy = Bank(bank.g, bank.s)
-    copy._taps = bank._taps
+    copy._taps, copy._factors = bank._taps, None
     return copy
 
 
@@ -921,7 +935,7 @@ def test_repeated_applies_equal_factor_free_ones():
         for crop in ("full", "same", "valid", "same", "full"):
             out = apply(x, deep, crop)
             # a factor-free copy contracts its counts
-            assert out == apply(x, Bank(deep.g, deep.s), crop)
+            assert out == apply(x, _factor_free(deep), crop)
             assert np.array_equal(out.s, crop_bank(full, targets[crop], crop).s)
             assert not out.s.flags.writeable and out._factors is not None
 
@@ -953,13 +967,14 @@ def test_count_overflow_is_raised_on_every_apply(monkeypatch):
         raise AssertionError("a product ran before the count overflow was named")
 
     monkeypatch.setattr(np, "matmul", product)
-    for _ in range(2):
+    # a copy finds the same factors in its counts
+    for bank in (deep, deep, Bank(deep.g, deep.s)):
         with pytest.raises(CountOverflowError, match=f"summand count {3 * 2**62} exceeds"):
-            apply(random_input(rng, 1, (3,)), deep, "same")
+            apply(random_input(rng, 1, (3,)), bank, "same")
     monkeypatch.undo()
     # a factor-free copy counts by contraction, after its T product
     with pytest.raises(CountOverflowError, match=f"summand count {3 * 2**62} exceeds"):
-        apply(random_input(rng, 1, (3,)), Bank(deep.g, deep.s), "same")
+        apply(random_input(rng, 1, (3,)), _factor_free(deep), "same")
 
 
 def test_fold_count_overflow_is_named_before_any_product(monkeypatch):
@@ -993,24 +1008,32 @@ def test_counts_of_other_pairs_are_not_remembered(count_type):
     x = random_input(rng, 2, (6, 5))
     out = apply(x, b, "full")
     assert out._factors is None and np.array_equal(out.s, reference_composite(x, b).s)
-    # one shared grid each, neither of them all 1s (and short of int64's limit),
+    # one shared grid each, checkerboards of 1s and 2s that do not factor,
     # and one shared grid against per-member counts
-    shared = [Bank(x.g, np.broadcast_to(np.minimum(x.s[:1, :1], 3), x.s.shape)) for x in (a, b)]
+    shared = [
+        Bank(x.g, np.broadcast_to(1 + np.indices(x.spatial_shape).sum(0) % 2, x.s.shape))
+        for x in (a, b)
+    ]
     for pair in (shared, (shared[0], b), (a, shared[1])):
         out = composite_convolve(*pair)
         assert out._factors is None and np.array_equal(out.s, reference_composite(*pair).s)
 
 
 def test_crops_copies_and_files_remember_nothing(tmp_path):
+    # factors come from a bank's counts, not from what made it: an input, a
+    # loaded file, a crop and a copy find them, and hold no taps
     deep = _deep()
     x = random_input(np.random.default_rng(39), 1, (9, 9))
-    assert x._factors is None and apply(x, deep, "same")._factors is not None
-    assert x._factors is None
+    assert x._factors.weight == 1 and apply(x, deep, "same")._factors is not None
     path = tmp_path / "deep.ghne"
     save_epitome(deep, path)
-    for bank in (load_epitome(path), crop_bank(deep, (3, 3), "same"), Bank(deep.g, deep.s),
-                 composite_convolve(x, Bank(deep.g, deep.s))):
-        assert bank._factors is None and bank._taps is None
+    loaded = load_epitome(path)
+    assert loaded._factors.weight == deep._factors.weight
+    assert [p.tolist() for p in loaded._factors.profiles] == [p.tolist() for p in deep._factors.profiles]
+    for bank in (x, loaded, crop_bank(deep, (3, 3), "same"), Bank(deep.g, deep.s)):
+        assert bank._taps is None and np.array_equal(bank._factors.grid(), bank.s[:1, :1])
+    # a kernel result keeps the kernel's factors: none, from a factor-free operand
+    assert composite_convolve(x, _factor_free(deep))._factors is None
 
 
 def test_loaded_epitome_applies_with_exact_counts(tmp_path):
@@ -1098,8 +1121,12 @@ def test_effective_counts_closed_form():
     assert deep.effective_counts is not None
     with pytest.raises(ValueError, match="closed-form effective counts"):
         DeepEpitome(deep.bank, (1, 3), deep.effective_shape, effective_counts(layers[1:]))
+    # a copy finds the same factors in its counts; counts that do not factor have none
+    DeepEpitome(Bank(deep.bank.g, deep.bank.s), (1, 3), deep.effective_shape, deep.effective_counts)
+    s = np.array(deep.bank.s)
+    s[0, 0, 0, 0] += 1
     with pytest.raises(ValueError, match="closed-form effective counts"):
-        DeepEpitome(Bank(deep.bank.g, deep.bank.s), (1, 3), deep.effective_shape, deep.effective_counts)
+        DeepEpitome(Bank(deep.bank.g, s), (1, 3), deep.effective_shape, deep.effective_counts)
 
 
 def test_factor_profiles_past_int64_stay_exact():
@@ -1113,6 +1140,89 @@ def test_factor_profiles_past_int64_stay_exact():
     a, b = _factored(1, [[2**40, 2**40]]), _factored(1, [[2**40, 2**40]])
     with pytest.raises(CountOverflowError, match=f"summand count {2**81} exceeds"):
         composite_convolve(a, b)
+
+
+def test_separable_shared_counts_factor_exactly():
+    # w * outer(p_a) of rank 1 to 3, with weights up to 2**62, held as one
+    # grid or as dense member arrays: the bank finds profiles of gcd 1 and
+    # the weight that makes them the grid, whatever the profiles were given as
+    rng = np.random.default_rng(45)
+    for trial in range(30):
+        rank = 1 + trial % 3
+        profiles = [rng.integers(1, 7, int(n)) for n in rng.integers(1, 5, rank)]
+        peak = math.prod(int(p.max()) for p in profiles)
+        weight = int(rng.integers(1, min(2**62, epitome._INT64_MAX // peak), endpoint=True))
+        grid = weight * functools.reduce(np.multiply.outer, profiles)
+        shape = (2, 3) + grid.shape
+        for s in (np.broadcast_to(grid, shape), np.tile(grid, (2, 3) + (1,) * rank)):
+            factors = Bank(np.zeros(shape), s)._factors
+            assert factors.peak == weight * peak == grid.max()
+            assert all(np.gcd.reduce(p) == 1 and p.dtype == np.int64 for p in factors.profiles)
+            assert np.array_equal(factors.grid()[0, 0], grid)
+            assert factors.weight % weight == 0
+
+
+def test_counts_that_do_not_factor_hold_no_factors():
+    rng = np.random.default_rng(46)
+    grid = 3 * np.multiply.outer([1, 2, 4], [1, 5, 1, 2])
+    # one entry off the first row and column perturbed: the lines through
+    # the first entry still give profiles whose peak is the grid's
+    perturbed = grid.copy()
+    perturbed[1, 2] += 3
+    assert perturbed.max() == grid.max()
+    # per-member counts
+    members = np.stack([grid, 2 * grid], axis=1)[None]
+    # the first row and column give profiles [1, 2**32 + 1] each, whose
+    # outer product, 2**64 + 2**33 + 1 at [1, 1], wraps in int64 to the
+    # grid's own entry there
+    n = 2**32 + 1
+    hostile = np.array([[1, n], [n, 2**33 + 1]])
+    assert np.array_equal(np.multiply.outer(hostile[0], hostile[:, 0]), hostile)
+    for s in (perturbed[None, None], members, hostile[None, None]):
+        deep = Bank(rng.uniform(0, 1, s.shape), s)
+        assert deep._factors is None and np.array_equal(deep.s, s)
+        x = random_input(rng, deep.c, (3, 2))
+        out = apply(x, deep, "full")
+        assert out._factors is None and np.array_equal(out.s, reference_composite(x, deep).s)
+
+
+def test_loaded_file_overflow_is_named_before_any_product(tmp_path, monkeypatch):
+    # a saved 1-D deep epitome of 4 counts 2**62: every crop of a 5-entry
+    # input keeps an entry where all 4 overlap, 4 * 2**62 > 2**63 - 1
+    path = tmp_path / "deep.ghne"
+    save_epitome(_factored(2**62, [[1, 1, 1, 1]]), path)
+    loaded = load_epitome(path)
+    rng = np.random.default_rng(47)
+
+    def product(*args, **kwargs):
+        raise AssertionError("a product ran before the count overflow was named")
+
+    monkeypatch.setattr(np, "matmul", product)
+    for crop in ("full", "same", "valid"):
+        with pytest.raises(CountOverflowError, match=f"summand count {4 * 2**62} exceeds"):
+            apply(random_input(rng, 1, (5,)), loaded, crop)
+
+
+def test_loaded_shared_grid_that_does_not_factor_is_contracted(tmp_path, windowed):
+    rng = np.random.default_rng(48)
+    grid = 1 + np.indices((3, 4)).sum(0) % 2 + np.eye(3, 4, dtype=np.int64)
+    deep = Bank(rng.uniform(0, 1, (2, 3, 3, 4)), np.broadcast_to(grid, (2, 3, 3, 4)))
+    path = tmp_path / "deep.ghne"
+    save_epitome(deep, path)
+    loaded = load_epitome(path)
+    assert loaded._factors is None and loaded == deep
+    x = random_input(rng, 3, (6, 5))
+    full = reference_composite(x, loaded)
+    for crop in ("full", "same", "valid"):
+        windowed.clear()
+        out = apply(x, loaded, crop)
+        # T, then the counts of every member, one row per filter
+        assert [(dtype, rows) for dtype, _, rows in windowed] == [
+            (np.dtype(np.float64), 2), (np.dtype(np.int64), 2)
+        ]
+        reference = crop_bank(full, out.spatial_shape, crop)
+        assert np.array_equal(reference.s, out.s)
+        assert compare_banks(reference, out, tol=1e-12).passed
 
 
 # --- effective shape and collapse -------------------------------------------

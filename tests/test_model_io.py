@@ -930,6 +930,24 @@ def test_features_csv_peak_memory_is_about_one_member(tmp_path):
         assert sum(1 for _ in f) == 1 + g.size
 
 
+def test_save_model_peak_memory_is_about_one_chunk(tmp_path):
+    # a 64x256x3x3 layer is 12 chunks of 4,096 kernel rows; the whole
+    # layer's text and weights held at once traced 8 MiB
+    weights = np.random.default_rng(9).uniform(0, 1, (64, 256, 3, 3))
+    model = Model([LayerSpec("wide", weights)])
+    tracemalloc.start()
+    try:
+        save_model(model, tmp_path / "m.ghnm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, peak / 2**20
+    with open(tmp_path / "m.ghnm") as f:
+        lines = f.read().splitlines()
+    assert len(lines) == 7 + 64 * 256 * 3
+    assert [float(v) for v in lines[-1].split()] == weights[-1, -1, -1].tolist()
+
+
 def test_features_csv_other_rank_names_axes(tmp_path):
     bank = Bank(np.zeros((1, 1, 2)), np.ones((1, 1, 2), dtype=np.int64))
     p = tmp_path / "f.csv"

@@ -137,6 +137,13 @@ class Bank(_PairGrid):
         bank.s = s if s.shape == g.shape else _shared(s, g.shape)
         return bank
 
+    @property
+    def is_normalized(self) -> bool:
+        # every count is >= 1, so all are 1 exactly when the largest is
+        if self._factors is not None:
+            return self._factors.peak == 1
+        return super().is_normalized
+
     # shapes are read from s, which a layer bank holds before its g
 
     @property

@@ -342,7 +342,8 @@ def _bank_convolve(a, b, window):
     window = _checked_window(window, full)
     factors = _count_factors(a, b, window)
     g = _half_t(a, b, window)
-    s = _counts(a.s, b.s, window) if factors is None else factors.grid()
+    # contracted counts are stored once when every member's are equal
+    s = _distinct_counts(_counts(a.s, b.s, window), 2) if factors is None else factors.grid()
     g += 0.5 * s
     return g, s, factors
 

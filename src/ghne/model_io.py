@@ -5,7 +5,8 @@ Four formats, all little-endian where binary:
 * Model files (text): a ``ghne-model v1`` header, then per layer a
   ``layer <name>`` line followed by ``filters``, ``channels``,
   ``kernel``, optional ``stride`` (default 1), and ``weights inline``
-  (whitespace-separated decimals, row-major [filter][channel][spatial])
+  (whitespace-separated decimals, row-major [filter][channel][spatial];
+  save_model writes each as Python's repr)
   or ``weights blob <relative-path>`` pointing at raw little-endian
   float64 next to the model file, a regular file of exactly 8 bytes per
   weight.  ``#`` starts a comment anywhere.
@@ -21,7 +22,8 @@ Four formats, all little-endian where binary:
 
 * Features (CSV): ``filter,channel,<axes>,value``, one row per entry of
   a bank, produced and held one member at a time, so a large bank's
-  file never sits in memory whole.
+  file never sits in memory whole.  A value's text is Python's repr of
+  it, the shortest decimal that round-trips.
 
 All writes go through a temp file and an atomic rename, so a failed
 command never leaves a partial file behind.
@@ -140,6 +142,31 @@ def _read_declared(f, n: int, error, message: str) -> bytearray:
 def _fmt(x) -> str:
     # repr of a Python float is the shortest decimal that round-trips
     return repr(float(x))
+
+
+def _filled(template: str, values) -> str:
+    """template with its %s fields filled, in order, by _fmt of each finite float64 in values.
+
+    orjson writes every value's shortest round-trip digits in one call,
+    and for zero and |x| in [1e-4, 1e16) they are repr's text byte for
+    byte; the tests hold them to repr on 2**20 values.  Outside that
+    range repr takes an exponent form ("1e-05", "1e+16" where orjson
+    writes "0.00001", "1e16"), so those values fill their fields as
+    floats, and %s of a float is its repr.  Where most values are such,
+    all of them go in as floats, since orjson's pass would then cost
+    more than it saves.
+    """
+    import orjson
+
+    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    magnitude = np.abs(flat)
+    exponent = np.flatnonzero((magnitude >= 1e16) | ((magnitude < 1e-4) & (magnitude > 0)))
+    if 2 * exponent.size > flat.size:
+        return template % tuple(flat.tolist())
+    texts = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode("ascii").split(",")
+    for k, x in zip(exponent.tolist(), flat[exponent].tolist()):
+        texts[k] = x
+    return template % tuple(texts)
 
 
 def write_text(path, text: str):
@@ -300,8 +327,9 @@ def load_model(path) -> Model:
 def save_model(model: Model, path):
     """Write a model file with inline weights, atomically.
 
-    A layer's weights are written a kernel row per line, in chunks of
-    _MODEL_CHUNK_ROWS rows, each one %-format of its values.
+    A layer's weights are written a kernel row per line, each weight as
+    its repr, in chunks of _MODEL_CHUNK_ROWS rows, each one _filled
+    template.
     """
 
     def chunks():
@@ -317,11 +345,10 @@ def save_model(model: Model, path):
             ]
             yield "\n".join(head).encode("utf-8")
             rows = layer.weights.reshape(-1, layer.kernel_shape[-1])
-            # %r of a Python float is _fmt
-            line = " ".join(["%r"] * rows.shape[1]) + "\n"
+            line = " ".join(["%s"] * rows.shape[1]) + "\n"
             for start in range(0, len(rows), _MODEL_CHUNK_ROWS):
                 chunk = rows[start : start + _MODEL_CHUNK_ROWS]
-                yield (line * len(chunk) % tuple(chunk.ravel().tolist())).encode("utf-8")
+                yield _filled(line * len(chunk), chunk).encode("utf-8")
 
     _atomic_write(path, chunks())
 
@@ -560,9 +587,10 @@ def write_features_csv(bank: Bank, path):
     """Every normalized entry with its coordinates, one row per entry.
 
     Columns: filter,channel,<one per spatial axis>,value; spatial axes
-    are named row,col for rank 2 and axis0,axis1,... otherwise.  The
-    file is produced and held one member at a time: a member's rows are
-    one %-format of its g/s, written before the next member's are made.
+    are named row,col for rank 2 and axis0,axis1,... otherwise; a value
+    is the repr of the entry's g/s.  The file is produced and held one
+    member at a time: a member's rows are one _filled template of its
+    g/s, written before the next member's are made.
     """
     if bank.rank == 2:
         axis_names = ["row", "col"]
@@ -570,16 +598,14 @@ def write_features_csv(bank: Bank, path):
         axis_names = [f"axis{k}" for k in range(bank.rank)]
     header = "filter,channel," + ",".join(axis_names) + ",value\n"
     axes = itertools.product(*(map(str, range(n)) for n in bank.spatial_shape))
-    # %r of a Python float is _fmt
-    lines = [",".join(idx) + ",%r\n" for idx in axes]
+    lines = [",".join(idx) + ",%s\n" for idx in axes]
 
     def chunks():
         yield header.encode("ascii")
         for i in range(bank.m):
             for j in range(bank.c):
                 prefix = f"{i},{j},"
-                member = bank.g[i, j] / bank.s[i, j]
                 rows = prefix + prefix.join(lines)
-                yield (rows % tuple(member.ravel().tolist())).encode("ascii")
+                yield _filled(rows, bank.g[i, j] / bank.s[i, j]).encode("ascii")
 
     _atomic_write(path, chunks())

@@ -61,6 +61,24 @@ def test_bank_basic_properties():
     assert b.is_normalized
 
 
+def test_bank_is_normalized_reads_factors_or_scans():
+    g = np.zeros((2, 3, 4, 5))
+    ones, twos = np.ones(g.shape, dtype=np.int64), np.full(g.shape, 2)
+    one_two = ones.copy()
+    one_two[1, 2, 3, 4] = 2
+    checkered = np.broadcast_to(1 + np.indices((4, 5)).sum(0) % 2, g.shape)
+    # the first two hold factors, whose peak answers; the others are scanned
+    for s, factored, normalized in (
+        (ones, True, True),
+        (twos, True, False),
+        (one_two, False, False),
+        (checkered, False, False),
+    ):
+        b = Bank(g, s)
+        assert (b._factors is not None) == factored
+        assert b.is_normalized == normalized == bool(np.all(b.s == 1))
+
+
 def test_bank_rejects_low_rank():
     with pytest.raises(ValueError):
         Bank(np.zeros((2, 3)), np.ones((2, 3), dtype=np.int64))
@@ -502,7 +520,7 @@ def test_shared_counts_contract_once(windowed):
     out = composite_convolve(a, b)
     assert {rows for *_, rows in windowed} == {4}
     ref = reference_composite(a, b)
-    assert np.array_equal(ref.s, out.s)
+    assert np.array_equal(ref.s, out.s) and out.s.strides[:2] != (0, 0)
     assert compare_banks(ref, out, tol=1e-12).passed
     # the same g over one separable count grid each: both banks hold it as
     # factors, whose 1-D profiles are convolved once, so the only product is
@@ -511,7 +529,8 @@ def test_shared_counts_contract_once(windowed):
     a, b = (Bank(x.g, np.broadcast_to(grid, x.s.shape)) for x, grid in zip((a, b), separable))
     assert a._factors.weight == 2 and b._factors.weight == 1
     # a shared grid that does not factor, a checkerboard of 1s and 2s, is
-    # contracted as the member arrays it is broadcast to, into per-member counts
+    # contracted as the member arrays it is broadcast to; the counts that
+    # contraction gives every member are equal, so they are stored once too
     checkered = Bank(b.g, np.broadcast_to(1 + np.indices((2, 3)).sum(0) % 2, b.s.shape))
     assert checkered._factors is None
     for b, products in ((b, [4]), (checkered, [4, 4])):
@@ -519,7 +538,7 @@ def test_shared_counts_contract_once(windowed):
         out = composite_convolve(a, b)
         assert [rows for *_, rows in windowed] == products
         factored = out._factors is not None
-        assert factored == (products == [4]) and (out.s.strides[:2] == (0, 0)) == factored
+        assert factored == (products == [4]) and out.s.strides[:2] == (0, 0)
         ref = reference_composite(a, b)
         assert np.array_equal(ref.s, out.s)
         assert compare_banks(ref, out, tol=1e-12).passed

@@ -246,14 +246,16 @@ def test_convolve_count_totals():
 
 
 def test_import_does_not_load_scipy():
-    # the kernels are numpy only; scipy would add its import time and memory
+    # the kernels are numpy only; scipy would add its import time and memory,
+    # and orjson is loaded by the bulk text writers when they first run
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    code = "import sys, ghne; print('scipy' in sys.modules, 'ghne.oracle' in sys.modules)"
+    names = ("scipy", "ghne.oracle", "orjson")
+    code = f"import sys, ghne; print(*(name in sys.modules for name in {names!r}))"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False False"
 
 
 # --- summation -------------------------------------------------------------

@@ -10,6 +10,7 @@ import threading
 import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -946,6 +947,93 @@ def test_save_model_peak_memory_is_about_one_chunk(tmp_path):
         lines = f.read().splitlines()
     assert len(lines) == 7 + 64 * 256 * 3
     assert [float(v) for v in lines[-1].split()] == weights[-1, -1, -1].tolist()
+
+
+def float_sample(rng, size):
+    """size float64 values in random order, at least 2**19 of them drawn log-uniform.
+
+    They hold random finite bit patterns; signed magnitudes log-uniform
+    from 1e-6 to 1e17; uniform [0, 1), p/255 and k/3; powers of 2 and
+    of 10 and their neighbours; and +-0.0, +-5e-324 and +-float max.
+    """
+    bits = rng.integers(0, 2**64, 2**17, dtype=np.uint64).view(np.float64)
+    powers = np.concatenate([2.0 ** np.arange(-1074, 1024), 10.0 ** np.arange(-323, 309)])
+    parts = [
+        bits[np.isfinite(bits)],
+        *(np.nextafter(powers, to) for to in (-np.inf, 0.0, np.inf)),
+        -powers,
+        rng.uniform(0, 1, 2**16),
+        rng.integers(0, 256, 2**16) / 255,
+        rng.integers(0, 2**53, 2**15) / 3,
+        rng.integers(0, 3000, 2**15) / 3,
+        np.array([0.0, -0.0, 5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max]),
+    ]
+    parts = [x[np.isfinite(x)] for x in parts]
+    rest = size - sum(x.size for x in parts)
+    assert rest >= 2**19
+    parts.append(rng.choice([-1.0, 1.0], rest) * 10.0 ** rng.uniform(-6, 17, rest))
+    return rng.permutation(np.concatenate(parts))
+
+
+def repr_path_share(values):
+    # the share of values that repr writes in exponent form
+    size = np.abs(values)
+    return np.mean((size >= 1e16) | ((size < 1e-4) & (size > 0)))
+
+
+@pytest.fixture
+def orjson_calls(monkeypatch):
+    # the number of values each orjson.dumps call was given
+    calls, dumps = [], orjson.dumps
+
+    def spy(values, *args, **kwargs):
+        calls.append(values.size)
+        return dumps(values, *args, **kwargs)
+
+    monkeypatch.setattr(orjson, "dumps", spy)
+    return calls
+
+
+def test_both_writers_write_repr_of_a_million_values(tmp_path, orjson_calls):
+    values = float_sample(np.random.default_rng(26), 2**20)
+    # every member and chunk has exponent-form values, but fewer than half
+    assert 0.1 < repr_path_share(values) < 0.4
+    want = [repr(v) for v in values.tolist()]
+    bank = Bank(values.reshape(16, 1, 256, 256), np.ones((16, 1, 256, 256), dtype=np.int64))
+    write_features_csv(bank, tmp_path / "f.csv")
+    # one orjson pass per member; the rows around the values are pinned by
+    # test_features_csv_matches_entrywise_rows
+    assert orjson_calls == [2**16] * 16
+    with open(tmp_path / "f.csv") as f:
+        assert next(f) == "filter,channel,row,col,value\n"
+        assert [line[:-1].rpartition(",")[2] for line in f] == want
+    orjson_calls.clear()
+    save_model(Model([LayerSpec("wide", values.reshape(256, 256, 4, 4))]), tmp_path / "m.ghnm")
+    assert orjson_calls == [4 * 4096] * 64
+    with open(tmp_path / "m.ghnm") as f:
+        lines = f.read().splitlines()
+    assert lines[6] == "weights inline" and len(lines) == 7 + 2**16 * 4
+    assert " ".join(lines[7:]).split(" ") == want
+
+
+@pytest.mark.parametrize("share", [0, 1 / 2, 1 / 2 + 1 / 4096, 1])
+def test_features_csv_repr_path_share(tmp_path, orjson_calls, share):
+    # a member whose values mostly take repr's exponent form is written
+    # without an orjson pass, as one % format of floats, each its repr
+    rng = np.random.default_rng(27)
+    shape = (3, 2, 64, 64)
+    sign = rng.choice([-1.0, 1.0], shape)
+    fixed = sign * 10.0 ** rng.uniform(-4, 15.9, shape)
+    large = rng.uniform(size=shape) < 1 / 2
+    exponent = sign * 10.0 ** np.where(large, rng.uniform(16, 300, shape), rng.uniform(-300, -4.1, shape))
+    pick = np.zeros(shape, dtype=bool)
+    pick.reshape(6, 4096)[:, : round(share * 4096)] = True
+    g = np.where(rng.permuted(pick, axis=-1), exponent, fixed)
+    assert repr_path_share(g[0, 0]) == share
+    bank = Bank(g, np.ones(shape, dtype=np.int64))
+    write_features_csv(bank, tmp_path / "f.csv")
+    assert (tmp_path / "f.csv").read_text() == "\n".join(feature_rows(bank, ["row", "col"])) + "\n"
+    assert orjson_calls == ([] if share > 1 / 2 else [4096] * 6)
 
 
 def test_features_csv_other_rank_names_axes(tmp_path):

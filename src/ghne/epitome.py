@@ -342,8 +342,13 @@ def _bank_convolve(a, b, window):
     window = _checked_window(window, full)
     factors = _count_factors(a, b, window)
     g = _half_t(a, b, window)
-    # contracted counts are stored once when every member's are equal
-    s = _distinct_counts(_counts(a.s, b.s, window), 2) if factors is None else factors.grid()
+    if factors is None:
+        s = _counts(a.s, b.s, window)
+        grid = _distinct_counts(s, 2)
+        # counts every member shares are stored once, copied out of s so it is freed
+        s = s if grid is s else _int64_counts(grid)
+    else:
+        s = factors.grid()
     g += 0.5 * s
     return g, s, factors
 

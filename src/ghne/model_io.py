@@ -147,26 +147,25 @@ def _fmt(x) -> str:
 def _filled(template: str, values) -> str:
     """template with its %s fields filled, in order, by _fmt of each finite float64 in values.
 
-    orjson writes every value's shortest round-trip digits in one call,
-    and for zero and |x| in [1e-4, 1e16) they are repr's text byte for
-    byte; the tests hold them to repr on 2**20 values.  Outside that
+    orjson writes the shortest round-trip digits of many values in one
+    call, and for zero and |x| in [1e-4, 1e16) they are repr's text byte
+    for byte; the tests hold them to repr on 2**20 values.  Outside that
     range repr takes an exponent form ("1e-05", "1e+16" where orjson
-    writes "0.00001", "1e16"), so those values fill their fields as
-    floats, and %s of a float is its repr.  Where most values are such,
-    all of them go in as floats, since orjson's pass would then cost
-    more than it saves.
+    writes "0.00001", "1e16"), so only the values inside it are given
+    to orjson, and the others fill their fields as floats, whose %s is
+    their repr.  Each kind takes its places in one indexed step.
     """
     import orjson
 
     flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
     magnitude = np.abs(flat)
-    exponent = np.flatnonzero((magnitude >= 1e16) | ((magnitude < 1e-4) & (magnitude > 0)))
-    if 2 * exponent.size > flat.size:
-        return template % tuple(flat.tolist())
-    texts = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode("ascii").split(",")
-    for k, x in zip(exponent.tolist(), flat[exponent].tolist()):
-        texts[k] = x
-    return template % tuple(texts)
+    fixed = (magnitude < 1e16) & ((magnitude >= 1e-4) | (magnitude == 0))
+    texts = np.empty(flat.size, dtype=object)
+    digits = orjson.dumps(flat[fixed], option=orjson.OPT_SERIALIZE_NUMPY)
+    # no values dump as "[]", whose one empty text fills the no fields selected
+    texts[fixed] = digits[1:-1].decode("ascii").split(",")
+    texts[~fixed] = flat[~fixed].astype(object)
+    return template % tuple(texts.tolist())
 
 
 def write_text(path, text: str):

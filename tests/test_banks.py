@@ -539,6 +539,11 @@ def test_shared_counts_contract_once(windowed):
         assert [rows for *_, rows in windowed] == products
         factored = out._factors is not None
         assert factored == (products == [4]) and out.s.strides[:2] == (0, 0)
+        # the one grid is all the memory the counts keep alive
+        held = out.s
+        while held.base is not None:
+            held = held.base
+        assert held.nbytes == out.s[0, 0].nbytes
         ref = reference_composite(a, b)
         assert np.array_equal(ref.s, out.s)
         assert compare_banks(ref, out, tol=1e-12).passed

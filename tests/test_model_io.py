@@ -975,10 +975,10 @@ def float_sample(rng, size):
     return rng.permutation(np.concatenate(parts))
 
 
-def repr_path_share(values):
-    # the share of values that repr writes in exponent form
+def exponent_form(values):
+    # the values that repr writes in exponent form, which orjson is not given
     size = np.abs(values)
-    return np.mean((size >= 1e16) | ((size < 1e-4) & (size > 0)))
+    return (size >= 1e16) | ((size < 1e-4) & (size > 0))
 
 
 @pytest.fixture
@@ -996,30 +996,30 @@ def orjson_calls(monkeypatch):
 
 def test_both_writers_write_repr_of_a_million_values(tmp_path, orjson_calls):
     values = float_sample(np.random.default_rng(26), 2**20)
-    # every member and chunk has exponent-form values, but fewer than half
-    assert 0.1 < repr_path_share(values) < 0.4
+    # every member and chunk mixes exponent-form values with the others
+    assert 0.1 < np.mean(exponent_form(values)) < 0.4
     want = [repr(v) for v in values.tolist()]
     bank = Bank(values.reshape(16, 1, 256, 256), np.ones((16, 1, 256, 256), dtype=np.int64))
     write_features_csv(bank, tmp_path / "f.csv")
-    # one orjson pass per member; the rows around the values are pinned by
-    # test_features_csv_matches_entrywise_rows
-    assert orjson_calls == [2**16] * 16
+    # one orjson pass per member, of its values outside the exponent form;
+    # the rows around the values are pinned by test_features_csv_matches_entrywise_rows
+    assert orjson_calls == [np.sum(~x) for x in exponent_form(values).reshape(16, -1)]
     with open(tmp_path / "f.csv") as f:
         assert next(f) == "filter,channel,row,col,value\n"
         assert [line[:-1].rpartition(",")[2] for line in f] == want
     orjson_calls.clear()
     save_model(Model([LayerSpec("wide", values.reshape(256, 256, 4, 4))]), tmp_path / "m.ghnm")
-    assert orjson_calls == [4 * 4096] * 64
+    assert orjson_calls == [np.sum(~x) for x in exponent_form(values).reshape(64, -1)]
     with open(tmp_path / "m.ghnm") as f:
         lines = f.read().splitlines()
     assert lines[6] == "weights inline" and len(lines) == 7 + 2**16 * 4
     assert " ".join(lines[7:]).split(" ") == want
 
 
-@pytest.mark.parametrize("share", [0, 1 / 2, 1 / 2 + 1 / 4096, 1])
+@pytest.mark.parametrize("share", [0, 1 / 4096, 1 / 2, 1])
 def test_features_csv_repr_path_share(tmp_path, orjson_calls, share):
-    # a member whose values mostly take repr's exponent form is written
-    # without an orjson pass, as one % format of floats, each its repr
+    # whatever share of a member's values take repr's exponent form, the
+    # member is written with one orjson pass and stays repr's text
     rng = np.random.default_rng(27)
     shape = (3, 2, 64, 64)
     sign = rng.choice([-1.0, 1.0], shape)
@@ -1029,11 +1029,11 @@ def test_features_csv_repr_path_share(tmp_path, orjson_calls, share):
     pick = np.zeros(shape, dtype=bool)
     pick.reshape(6, 4096)[:, : round(share * 4096)] = True
     g = np.where(rng.permuted(pick, axis=-1), exponent, fixed)
-    assert repr_path_share(g[0, 0]) == share
+    assert np.mean(exponent_form(g[0, 0])) == share
     bank = Bank(g, np.ones(shape, dtype=np.int64))
     write_features_csv(bank, tmp_path / "f.csv")
     assert (tmp_path / "f.csv").read_text() == "\n".join(feature_rows(bank, ["row", "col"])) + "\n"
-    assert orjson_calls == ([] if share > 1 / 2 else [4096] * 6)
+    assert orjson_calls == [round((1 - share) * 4096)] * 6
 
 
 def test_features_csv_other_rank_names_axes(tmp_path):

@@ -81,7 +81,8 @@ class Bank(_PairGrid):
     dense counts once.  When that grid is w * outer(p_a), the bank holds
     those exact factors too (epitome._Factors), whatever made it, and
     composite_convolve convolves the factors of two such banks instead
-    of contracting counts; its result keeps the kernel's factors.
+    of contracting counts; its result keeps the kernel's factors, or
+    finds them in the counts it contracted.
 
     A bank from layer_to_bank also keeps the taps its resized kernel is
     made of, which composite_convolve passes to the kernel, and builds
@@ -127,13 +128,16 @@ class Bank(_PairGrid):
         The kernel has made g for this bank alone and counted s exactly,
         each count >= 1 over a window inside the full output, so neither
         is copied or checked again; only a g past float64's range is
-        named.  factors are the kernel's, or None.
+        named.  factors are the kernel's; when it contracted s instead
+        (None), the bank holds those of s's one grid, if it factors, by
+        the rule of Bank's own constructor.
         """
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite g value in {cls._NAME}")
         g.setflags(write=False)
         bank = cls.__new__(cls)
-        bank._g, bank._taps, bank._factors = g, None, factors
+        bank._g, bank._taps = g, None
+        bank._factors = _grid_factors(s) if factors is None else factors
         bank.s = s if s.shape == g.shape else _shared(s, g.shape)
         return bank
 
@@ -379,7 +383,8 @@ def composite_convolve(a: Bank, b: Bank, window=None) -> Bank:
     non-empty slice(start, stop) of integers inside its axis's full
     extent raises ValueError before anything is computed.  A layer
     bank's taps go to the kernel along with it, on either side, and when
-    both operands hold count factors (see Bank), so does the result.
+    both operands hold count factors (see Bank), so does the result; else
+    it holds those of the counts contracted, if they factor.
     The result holds the kernel's arrays themselves, read-only.
     """
     if a.rank != b.rank:

@@ -255,8 +255,10 @@ def bank_convolve(ga, sa, gb, sb, window=None):
     *window); a count past the int64 maximum raises CountOverflowError,
     which the CLI reports with exit code 2.
 
-    g = s / 2 - T / 2 has an absolute error of about eps * s, so g keeps
-    its relative precision only while |g| / s is not much below 1.  Data
+    g = s / 2 - T / 2 has an absolute error of about eps * s (eps =
+    2**-52, s the entry's count), whatever the size of g, so g keeps its
+    relative precision only while |g| / s is not much below 1; at counts
+    near 2**30 and g / s near 5e-10 its relative error was 7.7e-8.  Data
     in [0, 1] stays far inside the 1e-9 gate.
     """
     g, s, _ = _bank_convolve(_Arrays(ga, sa), _Arrays(gb, sb), window)

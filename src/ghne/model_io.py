@@ -23,7 +23,12 @@ Four formats, all little-endian where binary:
 * Features (CSV): ``filter,channel,<axes>,value``, one row per entry of
   a bank, produced and held one member at a time, so a large bank's
   file never sits in memory whole.  A value's text is Python's repr of
-  it, the shortest decimal that round-trips.
+  it, the shortest decimal that round-trips.  A member's values are
+  written by one orjson call, in which each value that repr writes with
+  an exponent is a NaN; orjson writes it as null, and repr's text
+  replaces each null.  orjson's commas then become the line breaks and
+  cells of the rows, in one bytes % (see _filled).  Model weights are
+  written by the same rule.
 
 All writes go through a temp file and an atomic rename, so a failed
 command never leaves a partial file behind.
@@ -144,28 +149,31 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _filled(template: str, values) -> str:
-    """template with its %s fields filled, in order, by _fmt of each finite float64 in values.
+def _filled(head: bytes, joint: bytes, fields: tuple, values) -> bytes:
+    """The repr of each finite float64 in values, in order, as one bytes text.
+
+    The text is head, the values with joint between each two, and a
+    newline, formatted by one bytes % with fields, which fill the %s
+    fields of head and joint in order.
 
     orjson writes the shortest round-trip digits of many values in one
     call, and for zero and |x| in [1e-4, 1e16) they are repr's text byte
     for byte; the tests hold them to repr on 2**20 values.  Outside that
     range repr takes an exponent form ("1e-05", "1e+16" where orjson
-    writes "0.00001", "1e16"), so only the values inside it are given
-    to orjson, and the others fill their fields as floats, whose %s is
-    their repr.  Each kind takes its places in one indexed step.
+    writes "0.00001", "1e16"), so orjson is given those values as NaN,
+    which it writes as null.  Splitting on the nulls and joining the
+    pieces with %r fields puts repr's text in at each in one bytes %.
+    orjson's commas then become the joints in one replace, which, unlike
+    a split on them, makes no bytes object per value.
     """
     import orjson
 
     flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    magnitude = np.abs(flat)
-    fixed = (magnitude < 1e16) & ((magnitude >= 1e-4) | (magnitude == 0))
-    texts = np.empty(flat.size, dtype=object)
-    digits = orjson.dumps(flat[fixed], option=orjson.OPT_SERIALIZE_NUMPY)
-    # no values dump as "[]", whose one empty text fills the no fields selected
-    texts[fixed] = digits[1:-1].decode("ascii").split(",")
-    texts[~fixed] = flat[~fixed].astype(object)
-    return template % tuple(texts.tolist())
+    size = np.abs(flat)
+    exponent = (size >= 1e16) | ((size < 1e-4) & (size > 0))
+    digits = orjson.dumps(np.where(exponent, np.nan, flat), option=orjson.OPT_SERIALIZE_NUMPY)
+    text = b"%r".join(digits[1:-1].split(b"null")) % tuple(flat[exponent].tolist())
+    return (head + text.replace(b",", joint) + b"\n") % fields
 
 
 def write_text(path, text: str):
@@ -328,7 +336,7 @@ def save_model(model: Model, path):
 
     A layer's weights are written a kernel row per line, each weight as
     its repr, in chunks of _MODEL_CHUNK_ROWS rows, each one _filled
-    template.
+    text whose joints are spaces within a row and newlines between.
     """
 
     def chunks():
@@ -344,10 +352,10 @@ def save_model(model: Model, path):
             ]
             yield "\n".join(head).encode("utf-8")
             rows = layer.weights.reshape(-1, layer.kernel_shape[-1])
-            line = " ".join(["%s"] * rows.shape[1]) + "\n"
+            joints = (b" ",) * (rows.shape[1] - 1) + (b"\n",)
             for start in range(0, len(rows), _MODEL_CHUNK_ROWS):
                 chunk = rows[start : start + _MODEL_CHUNK_ROWS]
-                yield _filled(line * len(chunk), chunk).encode("utf-8")
+                yield _filled(b"", b"%s", (joints * len(chunk))[:-1], chunk)
 
     _atomic_write(path, chunks())
 
@@ -588,23 +596,23 @@ def write_features_csv(bank: Bank, path):
     Columns: filter,channel,<one per spatial axis>,value; spatial axes
     are named row,col for rank 2 and axis0,axis1,... otherwise; a value
     is the repr of the entry's g/s.  The file is produced and held one
-    member at a time: a member's rows are one _filled template of its
-    g/s, written before the next member's are made.
+    member at a time: a member's rows are one _filled text of its g/s,
+    whose joints hold the member and cell of the next value, written
+    before the next member's are made.  The cells' text is made once.
     """
     if bank.rank == 2:
         axis_names = ["row", "col"]
     else:
         axis_names = [f"axis{k}" for k in range(bank.rank)]
     header = "filter,channel," + ",".join(axis_names) + ",value\n"
-    axes = itertools.product(*(map(str, range(n)) for n in bank.spatial_shape))
-    lines = [",".join(idx) + ",%s\n" for idx in axes]
+    indices = ([b"%d," % k for k in range(n)] for n in bank.spatial_shape)
+    cells = tuple(map(b"".join, itertools.product(*indices)))
 
     def chunks():
         yield header.encode("ascii")
         for i in range(bank.m):
             for j in range(bank.c):
-                prefix = f"{i},{j},"
-                rows = prefix + prefix.join(lines)
-                yield _filled(rows, bank.g[i, j] / bank.s[i, j]).encode("ascii")
+                member = b"%d,%d,%%s" % (i, j)
+                yield _filled(member, b"\n" + member, cells, bank.g[i, j] / bank.s[i, j])
 
     _atomic_write(path, chunks())

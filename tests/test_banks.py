@@ -885,6 +885,13 @@ def _factor_free(bank):
     return copy
 
 
+def _factor_lists(factors):
+    """factors as (weight, profile lists, peak), to compare with ==, or None."""
+    if factors is None:
+        return None
+    return factors.weight, [p.tolist() for p in factors.profiles], factors.peak
+
+
 def _factored(weight, profiles, m=1, c=1):
     """A bank of g = 0 whose counts, weight * outer(*profiles), are held as factors."""
     profiles = tuple(np.array(p, dtype=np.int64) for p in profiles)
@@ -1056,8 +1063,11 @@ def test_crops_copies_and_files_remember_nothing(tmp_path):
     assert [p.tolist() for p in loaded._factors.profiles] == [p.tolist() for p in deep._factors.profiles]
     for bank in (x, loaded, crop_bank(deep, (3, 3), "same"), Bank(deep.g, deep.s)):
         assert bank._taps is None and np.array_equal(bank._factors.grid(), bank.s[:1, :1])
-    # a kernel result keeps the kernel's factors: none, from a factor-free operand
-    assert composite_convolve(x, _factor_free(deep))._factors is None
+    # a kernel result keeps the kernel's factors; from a factor-free operand,
+    # whose counts are contracted, it holds those its counts give a copy
+    out = composite_convolve(x, _factor_free(deep))
+    assert _factor_lists(out._factors) == _factor_lists(Bank(out.g, out.s)._factors)
+    assert _factor_lists(out._factors) == _factor_lists(composite_convolve(x, deep)._factors)
 
 
 def test_loaded_epitome_applies_with_exact_counts(tmp_path):
@@ -1207,7 +1217,11 @@ def test_counts_that_do_not_factor_hold_no_factors():
         assert deep._factors is None and np.array_equal(deep.s, s)
         x = random_input(rng, deep.c, (3, 2))
         out = apply(x, deep, "full")
-        assert out._factors is None and np.array_equal(out.s, reference_composite(x, deep).s)
+        assert np.array_equal(out.s, reference_composite(x, deep).s)
+        # the contracted counts hold the factors a copy of them finds: the
+        # per-member counts sum to a grid that factors, the others to none
+        assert _factor_lists(out._factors) == _factor_lists(Bank(out.g, out.s)._factors)
+        assert (out._factors is None) == (s is not members)
 
 
 def test_loaded_file_overflow_is_named_before_any_product(tmp_path, monkeypatch):
@@ -1225,6 +1239,30 @@ def test_loaded_file_overflow_is_named_before_any_product(tmp_path, monkeypatch)
     for crop in ("full", "same", "valid"):
         with pytest.raises(CountOverflowError, match=f"summand count {4 * 2**62} exceeds"):
             apply(random_input(rng, 1, (5,)), loaded, crop)
+
+
+def test_contracted_counts_that_factor_hold_factors(windowed):
+    # a 2x1x2x3 deep epitome shares a checkerboard of 1s and 2s, which does
+    # not factor, but each valid entry of a 6x6 input sums all six of its
+    # counts: the contracted result counts 9 everywhere, and holds that
+    rng = np.random.default_rng(49)
+    grid = 1 + np.indices((2, 3)).sum(0) % 2
+    deep = Bank(rng.uniform(0, 1, (2, 1, 2, 3)) * grid, np.broadcast_to(grid, (2, 1, 2, 3)))
+    assert deep._factors is None
+    out = apply(random_input(rng, 1, (6, 6)), deep, "valid")
+    assert np.array_equal(out.s, np.full((2, 1, 5, 4), 9))
+    assert _factor_lists(out._factors) == (9, [[1] * 5, [1] * 4], 9)
+    assert _factor_lists(out._factors) == _factor_lists(Bank(out.g, out.s)._factors)
+    # so a later convolution of it convolves factors, and its one product is
+    # T's; without them the counts are contracted in a second, int64 product
+    layer = layer_to_bank(LayerSpec("l", rng.uniform(0, 1, (3, 2, 2, 2))))
+    reference = reference_composite(out, layer)
+    for bank, dtypes in ((out, [np.float64]), (_factor_free(out), [np.float64, np.int64])):
+        windowed.clear()
+        later = composite_convolve(bank, layer)
+        assert [dtype for dtype, *_ in windowed] == [np.dtype(t) for t in dtypes]
+        assert np.array_equal(reference.s, later.s)
+        assert compare_banks(reference, later, tol=1e-12).passed
 
 
 def test_loaded_shared_grid_that_does_not_factor_is_contracted(tmp_path, windowed):

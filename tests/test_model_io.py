@@ -139,7 +139,7 @@ def test_save_model_matches_weightwise_text(tmp_path, kernels):
     model = Model(layers)
     path = tmp_path / "m.ghnm"
     save_model(model, path)
-    text = path.read_text()
+    text = path.read_bytes().decode("ascii")
     assert text == model_text(model)
     assert all(mark in text for mark in ("e-", "e+", " -"))
     assert same_model(load_model(path), model)
@@ -871,6 +871,10 @@ def test_features_csv_rank_two(tmp_path):
     bank = Bank(g, np.ones(g.shape, dtype=np.int64))
     p = tmp_path / "f.csv"
     write_features_csv(bank, p)
+    # bytes, which read_text would not show a "\r\n" in
+    assert p.read_bytes() == b"filter,channel,row,col,value\n" + b"".join(
+        b"0,0,%d,%d,%r\n" % (r, c, g[0, 0, r, c].item()) for r in range(2) for c in range(2)
+    )
     lines = p.read_text().splitlines()
     assert lines[0] == "filter,channel,row,col,value"
     assert lines[1] == "0,0,0,0,0.1"
@@ -976,18 +980,32 @@ def float_sample(rng, size):
 
 
 def exponent_form(values):
-    # the values that repr writes in exponent form, which orjson is not given
+    # the values that repr writes in exponent form, which orjson is given as NaN
     size = np.abs(values)
     return (size >= 1e16) | ((size < 1e-4) & (size > 0))
 
 
+def given_orjson(values, pieces):
+    # values in equal pieces, each as orjson is to be given it: with a NaN in
+    # place of each exponent-form value
+    return [np.where(exponent_form(x), np.nan, x) for x in values.reshape(pieces, -1)]
+
+
+def same_bits(arrays, want):
+    # the arrays, one by one, bit for bit: -0.0 is not 0.0, and NaN is NaN
+    return len(arrays) == len(want) and all(
+        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in zip(arrays, want)
+    )
+
+
 @pytest.fixture
 def orjson_calls(monkeypatch):
-    # the number of values each orjson.dumps call was given
+    # the array each orjson.dumps call was given
     calls, dumps = [], orjson.dumps
 
     def spy(values, *args, **kwargs):
-        calls.append(values.size)
+        calls.append(values)
         return dumps(values, *args, **kwargs)
 
     monkeypatch.setattr(orjson, "dumps", spy)
@@ -1001,15 +1019,15 @@ def test_both_writers_write_repr_of_a_million_values(tmp_path, orjson_calls):
     want = [repr(v) for v in values.tolist()]
     bank = Bank(values.reshape(16, 1, 256, 256), np.ones((16, 1, 256, 256), dtype=np.int64))
     write_features_csv(bank, tmp_path / "f.csv")
-    # one orjson pass per member, of its values outside the exponent form;
+    # one orjson pass per member, of its values with NaN for the exponent form;
     # the rows around the values are pinned by test_features_csv_matches_entrywise_rows
-    assert orjson_calls == [np.sum(~x) for x in exponent_form(values).reshape(16, -1)]
+    assert same_bits(orjson_calls, given_orjson(values, 16))
     with open(tmp_path / "f.csv") as f:
         assert next(f) == "filter,channel,row,col,value\n"
         assert [line[:-1].rpartition(",")[2] for line in f] == want
     orjson_calls.clear()
     save_model(Model([LayerSpec("wide", values.reshape(256, 256, 4, 4))]), tmp_path / "m.ghnm")
-    assert orjson_calls == [np.sum(~x) for x in exponent_form(values).reshape(64, -1)]
+    assert same_bits(orjson_calls, given_orjson(values, 64))
     with open(tmp_path / "m.ghnm") as f:
         lines = f.read().splitlines()
     assert lines[6] == "weights inline" and len(lines) == 7 + 2**16 * 4
@@ -1033,7 +1051,7 @@ def test_features_csv_repr_path_share(tmp_path, orjson_calls, share):
     bank = Bank(g, np.ones(shape, dtype=np.int64))
     write_features_csv(bank, tmp_path / "f.csv")
     assert (tmp_path / "f.csv").read_text() == "\n".join(feature_rows(bank, ["row", "col"])) + "\n"
-    assert orjson_calls == [round((1 - share) * 4096)] * 6
+    assert same_bits(orjson_calls, given_orjson(g, 6))
 
 
 def test_features_csv_other_rank_names_axes(tmp_path):

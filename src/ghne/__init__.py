@@ -19,6 +19,7 @@ from .banks import (
     bank_stats,
     collapse,
     composite_convolve,
+    convolve,
     crop_bank,
     effective_counts,
     effective_shape,
@@ -29,7 +30,6 @@ from .epitome import (
     Epitome,
     Histogram,
     add,
-    convolve,
     histogram,
     make_normalized,
     mean_fuzziness,
@@ -64,6 +64,7 @@ __all__ = [
     "bank_stats",
     "collapse",
     "composite_convolve",
+    "convolve",
     "crop_bank",
     "effective_counts",
     "effective_shape",
@@ -72,7 +73,6 @@ __all__ = [
     "Epitome",
     "Histogram",
     "add",
-    "convolve",
     "histogram",
     "make_normalized",
     "mean_fuzziness",

@@ -18,8 +18,12 @@ kernel is never contracted entry by entry.  In T = 1 - 2g it factors
 into the weights' T dilated by s (spread s apart, zeros between),
 convolved with an all-ones s-box for the "replicate" fill and followed
 by s - 1 zeros for "fuzzy"; a layer bank keeps its weights as taps, and
-a fold step contracts just those |K| taps (see epitome.bank_convolve),
+a fold step contracts just those |K| taps (see epitome._bank_convolve),
 without building the resized kernel.
+
+composite_convolve is the one way into that kernel: convolve, the
+epitome convolution, is its case of one filter, one channel and one
+contracted member.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ __all__ = [
     "StatsReport",
     "layer_to_bank",
     "composite_convolve",
+    "convolve",
     "effective_shape",
     "effective_counts",
     "collapse",
@@ -377,7 +382,8 @@ def composite_convolve(a: Bank, b: Bank, window=None) -> Bank:
     Requires a.m == b.c.  Output member (i, j) for filter i of b and
     channel j of a is the entrywise epitome sum over k = 0..a.m-1 of
     convolve(a[k, j], b[i, k]), so the result has m = b.m, c = a.c, and
-    the full-convolution spatial shape, all from one bank_convolve call.
+    the full-convolution spatial shape, all from one call of the kernel,
+    epitome._bank_convolve.
     window, one slice per spatial axis of that full shape, computes only
     the entries it selects; None computes them all.  Anything but a
     non-empty slice(start, stop) of integers inside its axis's full
@@ -395,6 +401,18 @@ def composite_convolve(a: Bank, b: Bank, window=None) -> Bank:
             f"right bank expects c={b.c} channels"
         )
     return Bank._of_convolution(*_bank_convolve(a, b, window))
+
+
+def convolve(a: Epitome, b: Epitome) -> Epitome:
+    """Full hamming convolution of two epitomes.
+
+    Output extent per axis is Na + Nb - 1.  Entry c sums merged_pair
+    over the anti-diagonal set S(c) = {(n, m) | n + m = c} (0-based per
+    axis), and counts are summed likewise.  This is composite_convolve
+    of the two as 1 x 1 banks, whose checks and errors it shares.
+    """
+    one = (np.newaxis, np.newaxis)
+    return composite_convolve(Bank(a.g[one], a.s[one]), Bank(b.g[one], b.s[one])).member(0, 0)
 
 
 def effective_shape(layers) -> tuple[int, ...]:

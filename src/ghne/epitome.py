@@ -14,11 +14,12 @@ is not, which is the whole point: a stack of layers collapses into one
 bank without touching any input.
 
 Under t = s - 2g the merge is a plain product, t_out = t * t', just as
-t(x) = 1 - 2x turns the scalar GHD into multiplication.  bank_convolve
-uses that to evaluate a whole bank contraction as two plain
-convolutions, one for t and one for the counts, each a windowed matrix
-product (im2col), batched over groups of output rows, that runs in
-BLAS; counts held as per-axis factors are convolved as factors instead.
+t(x) = 1 - 2x turns the scalar GHD into multiplication.  The kernel
+here, _bank_convolve, uses that to evaluate a whole bank contraction as
+two plain convolutions, one for t and one for the counts, each a
+windowed matrix product (im2col), batched over groups of output rows,
+that runs in BLAS; counts held as per-axis factors are convolved as
+factors instead.  banks.composite_convolve is its one caller.
 
 Counts are stored as int64, never floats, so they stay exact (a count
 that would not fit raises CountOverflowError); g values are float64.
@@ -39,13 +40,13 @@ from .ghd import fuzziness as _scalar_fuzziness
 from .ghd import ghd
 
 _INT64_MAX = 2**63 - 1
-# Cap on the entries one im2col chunk of bank_convolve gathers (4 MiB of
+# Cap on the entries one im2col chunk of _bank_convolve gathers (4 MiB of
 # float64).  Smaller caps split large products into skinny, slow GEMMs;
 # larger ones raise peak memory.
 _IM2COL_ENTRIES = 2**19
 # OpenBLAS runs a matrix product of at most this many multiply-adds on
 # the calling thread, and splits a larger one across its threads;
-# bank_convolve makes each product as many output rows wide as fit.
+# _bank_convolve makes each product as many output rows wide as fit.
 _ONE_THREAD_WORK = 2**18
 
 __all__ = [
@@ -55,8 +56,6 @@ __all__ = [
     "make_normalized",
     "normalize",
     "merged_pair",
-    "bank_convolve",
-    "convolve",
     "add",
     "mean_fuzziness",
     "histogram",
@@ -194,79 +193,8 @@ def merged_pair(gn, sn, gm, sm):
     return float(ghd(gn, gm) + (sm - 1) * gn + (sn - 1) * gm), sn * sm
 
 
-def bank_convolve(ga, sa, gb, sb, window=None):
-    """Hamming convolution of two banks given as arrays, over an output window.
-
-    a = (ga, sa) has shape (k, c, *A) and b = (gb, sb) shape (m, k, *B),
-    with float64 g and int64 s, as held by Bank and Epitome.
-    Output member (i, j) is the entrywise epitome sum over k of the full
-    convolution of a[k, j] with b[i, k], whose spatial shape is A + B - 1.
-    window, one slice per spatial axis in those full-output coordinates
-    (None for all of it), selects the entries computed and returned, so
-    the result (g, s) has shape (m, c, *window extents); each slice must
-    be slice(start, stop), of integers, non-empty and inside the full
-    extent of its axis.  Both parts are
-    the same contraction: with T = s - 2g,
-
-        T_out = sum_k conv(T_a[k, j], T_b[i, k])
-        s_out = sum_k conv(s_a[k, j], s_b[i, k])    (exact)
-        g_out = (s_out - T_out) / 2
-              = sum_k conv(T_a[k, j], -T_b[i, k] / 2) + s_out / 2
-
-    The second form is the one computed: b's side of the product
-    carries the -1/2 (g_b - s_b / 2 is -T_b / 2 exactly), so the product
-    lands in the array returned as g, and one in-place addition of
-    s_out / 2, from the count grid before it is broadcast, finishes it.
-    Halving is exact in float64, so g has the bits of (s_out - T_out) / 2
-    outside the subnormal range.
-
-    Each contraction is one windowed matrix product (im2col, see
-    _contract): a, zero-padded by B_i - 1 per side, is read through one
-    strided view under every output position of the window and gathered,
-    and a matmul against the flipped b, an m x (k * |B|) matrix, runs it
-    in BLAS.  a is windowed when c * |B| <= m * |A|, and otherwise the
-    roles swap (convolution commutes; the window is the same either
-    way).  Output rows are gathered in chunks of at most _IM2COL_ENTRIES
-    entries (or one row), and multiplied per channel in products of as
-    many rows as divide the window's rows evenly within _ONE_THREAD_WORK
-    multiply-adds, which OpenBLAS runs on the calling thread; each
-    product writes its block straight into the result.  A call repeats
-    bit for bit, and products of a few rows do not depend on the chunk
-    size; a chunk-wide product, or a narrower window, may round g
-    differently in the last bits, never the counts.
-
-    A layer bank (see banks.layer_to_bank) keeps its taps, the K-entry
-    kernel of T = 1 - 2w that its stride-d kernel is resized from:
-    replicate's T is box_d * dilate_d(T_w), the all-ones d-box convolved
-    with the taps spread d apart, and fuzzy's is dilate_d(T_w) followed
-    by d - 1 zeros (its 0.5 filler has T = 0).  So composite_convolve
-    contracts conv(box_d(T_a), dilate_d(T_w)), or conv(T_a,
-    dilate_d(T_w)) zero-extended: one product over the |K| taps, read in
-    steps of d, with |K| in place of the grid in the role swap.  The
-    resized kernel is read only on the windowed side.  Boxing adds d
-    shifted copies, so g may differ from the dense product in the last
-    bit; counts never do.
-
-    When both operands hold per-axis count factors (see _Factors and
-    Bank), their 1-D factors are convolved and no count is contracted.
-    Otherwise the member count arrays are contracted as given, before
-    any role swap: in int64 when no partial sum can reach 2**63, else in
-    Python ints.  s is a read-only int64 array broadcast to (m, c,
-    *window); a count past the int64 maximum raises CountOverflowError,
-    which the CLI reports with exit code 2.
-
-    g = s / 2 - T / 2 has an absolute error of about eps * s (eps =
-    2**-52, s the entry's count), whatever the size of g, so g keeps its
-    relative precision only while |g| / s is not much below 1; at counts
-    near 2**30 and g / s near 5e-10 its relative error was 7.7e-8.  Data
-    in [0, 1] stays far inside the 1e-9 gate.
-    """
-    g, s, _ = _bank_convolve(_Arrays(ga, sa), _Arrays(gb, sb), window)
-    return g, np.broadcast_to(s, g.shape)
-
-
 class _Taps(NamedTuple):
-    """The kernel a stride-resized layer bank was built from (see bank_convolve).
+    """The kernel a stride-resized layer bank was built from (see _bank_convolve).
 
     w holds the layer's weights, (m, c, *K), each an entry of count 1;
     the bank's resized kernel spreads their T stride apart per axis,
@@ -323,22 +251,76 @@ def _grid_factors(s):
     return factors if exact else None
 
 
-class _Arrays(NamedTuple):
-    """Arrays given to bank_convolve, read like a bank without taps or factors."""
-
-    g: np.ndarray
-    s: np.ndarray
-    _taps = _factors = None
-
-
 # a g past float64's range becomes inf or nan without a numpy warning, and
-# the non-finite check of the Bank or Epitome built from it names the failure
+# the non-finite check of the Bank built from it names the failure
 @np.errstate(over="ignore", invalid="ignore")
 def _bank_convolve(a, b, window):
-    """bank_convolve of Banks or _Arrays a and b: g, s not broadcast, and _Factors or None.
+    """Hamming convolution of Banks a and b over an output window: g, s and _Factors or None.
 
-    A count past int64 is named from the factors before the T product
-    allocates anything window-sized; their grid is built after it.
+    The kernel of banks.composite_convolve, its one caller.  a has shape
+    (k, c, *A) and b shape (m, k, *B).  Output member (i, j) is the
+    entrywise epitome sum over k of the full convolution of a[k, j] with
+    b[i, k], whose spatial shape is A + B - 1.  window, one slice per
+    spatial axis in those full-output coordinates (None for all of it),
+    selects the entries computed and returned, so g has shape (m, c,
+    *window extents); each slice must be slice(start, stop), of
+    integers, non-empty and inside the full extent of its axis.  Both
+    parts are the same contraction: with T = s - 2g,
+
+        T_out = sum_k conv(T_a[k, j], T_b[i, k])
+        s_out = sum_k conv(s_a[k, j], s_b[i, k])    (exact)
+        g_out = (s_out - T_out) / 2
+              = sum_k conv(T_a[k, j], -T_b[i, k] / 2) + s_out / 2
+
+    The second form is the one computed: b's side of the product
+    carries the -1/2 (g_b - s_b / 2 is -T_b / 2 exactly), so the product
+    lands in the array returned as g, and one in-place addition of
+    s_out / 2, from the count grid before it is broadcast, finishes it.
+    Halving is exact in float64, so g has the bits of (s_out - T_out) / 2
+    outside the subnormal range.
+
+    Each contraction is one windowed matrix product (im2col, see
+    _contract): a, zero-padded by B_i - 1 per side, is read through one
+    strided view under every output position of the window and gathered,
+    and a matmul against the flipped b, an m x (k * |B|) matrix, runs it
+    in BLAS.  a is windowed when c * |B| <= m * |A|, and otherwise the
+    roles swap (convolution commutes; the window is the same either
+    way).  Output rows are gathered in chunks of at most _IM2COL_ENTRIES
+    entries (or one row), and multiplied per channel in products of as
+    many rows as divide the window's rows evenly within _ONE_THREAD_WORK
+    multiply-adds, which OpenBLAS runs on the calling thread; each
+    product writes its block straight into the result.  A call repeats
+    bit for bit, and products of a few rows do not depend on the chunk
+    size; a chunk-wide product, or a narrower window, may round g
+    differently in the last bits, never the counts.
+
+    A layer bank (see banks.layer_to_bank) keeps its taps, the K-entry
+    kernel of T = 1 - 2w that its stride-d kernel is resized from:
+    replicate's T is box_d * dilate_d(T_w), the all-ones d-box convolved
+    with the taps spread d apart, and fuzzy's is dilate_d(T_w) followed
+    by d - 1 zeros (its 0.5 filler has T = 0).  So composite_convolve
+    contracts conv(box_d(T_a), dilate_d(T_w)), or conv(T_a,
+    dilate_d(T_w)) zero-extended: one product over the |K| taps, read in
+    steps of d, with |K| in place of the grid in the role swap.  The
+    resized kernel is read only on the windowed side.  Boxing adds d
+    shifted copies, so g may differ from the dense product in the last
+    bit; counts never do.
+
+    When both operands hold per-axis count factors (see _Factors and
+    Bank), their 1-D factors are convolved and no count is contracted.
+    Otherwise the member count arrays are contracted as given, before
+    any role swap: in int64 when no partial sum can reach 2**63, else in
+    Python ints.  s is a new read-only int64 array, (m, c, *window) or,
+    for counts every member shares, the one grid (1, 1, *window).  A
+    count past the int64 maximum raises CountOverflowError, which the CLI
+    reports with exit code 2; from factors, it is named before the T
+    product allocates anything window-sized.
+
+    g = s / 2 - T / 2 has an absolute error of about eps * s (eps =
+    2**-52, s the entry's count), whatever the size of g, so g keeps its
+    relative precision only while |g| / s is not much below 1; at counts
+    near 2**30 and g / s near 5e-10 its relative error was 7.7e-8.  Data
+    in [0, 1] stays far inside the 1e-9 gate.
     """
     full = tuple(x + y - 1 for x, y in zip(a.s.shape[2:], b.s.shape[2:]))
     window = _checked_window(window, full)
@@ -356,7 +338,7 @@ def _bank_convolve(a, b, window):
 
 
 def _half_t(a, b, window):
-    """-T_out / 2 over the window, a new float64 array (see bank_convolve)."""
+    """-T_out / 2 over the window, a new float64 array (see _bank_convolve)."""
     (k, c), grid_a = a.s.shape[:2], a.s.shape[2:]
     m, grid_b = b.s.shape[0], b.s.shape[2:]
     size_a, size_b = (
@@ -475,7 +457,7 @@ def _convolved_factors(fa, fb, k, window):
 def _counts(sa, sb, window):
     """sum_k conv(sa[k, j], sb[i, k]) over the window: exact, read-only int64 counts.
 
-    Contracted in the narrowest exact type (see bank_convolve).
+    Contracted in the narrowest exact type (see _bank_convolve).
     """
     # an output entry sums at most k * prod(min(A_i, B_i)) terms, each at
     # most max(s_a) * max(s_b), so no partial sum passes the bound
@@ -488,7 +470,7 @@ def _counts(sa, sb, window):
 def _contract(a, b, window, dtype, step):
     """sum_k conv(a[k, j], dilate(b)[i, k]) over the window, as (m, c, *window) of dtype.
 
-    The windowed matrix product of bank_convolve for one pair of
+    The windowed matrix product of _bank_convolve for one pair of
     operands, a (k, c, *A) windowed with the grid of b (m, k, *B) spread
     step apart per axis (1 everywhere for b's own grid).  a is zero-padded
     once and read through one strided view (see _window_view).  Each
@@ -596,21 +578,6 @@ def _int64_counts(s):
 
 def _count_overflow(count) -> CountOverflowError:
     return CountOverflowError(f"summand count {count} exceeds the int64 maximum {_INT64_MAX}")
-
-
-def convolve(a: Epitome, b: Epitome) -> Epitome:
-    """Full hamming convolution of two epitomes.
-
-    Output extent per axis is Na + Nb - 1.  Entry c sums merged_pair
-    over the anti-diagonal set S(c) = {(n, m) | n + m = c} (0-based per
-    axis), and counts are summed likewise.  This is bank_convolve with
-    one filter, one channel and one contracted member.
-    """
-    if a.rank != b.rank:
-        raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
-    one = (np.newaxis, np.newaxis)
-    g, s = bank_convolve(a.g[one], a.s[one], b.g[one], b.s[one])
-    return Epitome(g[0, 0], s[0, 0])
 
 
 def add(a: Epitome, b: Epitome) -> Epitome:

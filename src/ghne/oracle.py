@@ -11,8 +11,9 @@ benchmarked.
 The layered reference has its own count-carrying convolution.  It
 loops over members and offsets and merges entries in the additive form
 g_a*s_b + s_a*g_b - 2*g_a*g_b, so it shares no arithmetic with the
-fast path's contraction of T = s - 2g (epitome.bank_convolve), and an
-error in either one shows up as a disagreement between the two.
+fast path's contraction of T = s - 2g (epitome._bank_convolve, the
+kernel of banks.composite_convolve), and an error in either one shows
+up as a disagreement between the two.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .banks import Bank, LayerSpec, Model, apply, collapse, layer_to_bank
-from .epitome import Epitome, convolve, make_normalized, merged_pair
+from .banks import Bank, LayerSpec, Model, apply, collapse, convolve, layer_to_bank
+from .epitome import Epitome, make_normalized, merged_pair
 from .ghd import ghd
 
 __all__ = [

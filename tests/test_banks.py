@@ -329,12 +329,18 @@ def test_composite_rank_mismatch():
 
 
 def test_composite_single_member_reduces_to_convolve():
+    # convolve is this one-member call, so the member-by-member reference
+    # checks the result too
     rng = np.random.default_rng(2)
     x = Epitome(rng.uniform(-1, 1, 4), rng.integers(1, 4, 4))
     y = Epitome(rng.uniform(-1, 1, 3), rng.integers(1, 4, 3))
     one = (np.newaxis, np.newaxis)
-    out = composite_convolve(Bank(x.g[one], x.s[one]), Bank(y.g[one], y.s[one]))
+    a, b = Bank(x.g[one], x.s[one]), Bank(y.g[one], y.s[one])
+    out = composite_convolve(a, b)
     assert out.member(0, 0) == convolve(x, y)
+    reference = reference_composite(a, b)
+    assert np.array_equal(out.s, reference.s)
+    assert np.allclose(out.g, reference.g, rtol=0, atol=1e-12)
 
 
 def test_composite_shape_law():

@@ -14,6 +14,7 @@ from ghne import (
     Epitome,
     add,
     convolve,
+    epitome,
     ghd,
     ghd_fold,
     histogram,
@@ -165,19 +166,85 @@ def test_convolve_absorbing_entry():
     assert np.allclose(out.g, 0.5 * counted.s, atol=1e-15)
 
 
-def test_convolve_counts_past_the_int64_bound():
-    # a count bound of 2**62 * 2 terms reaches 2**63, so the counts are
-    # contracted in Python ints: a largest count of 2**62 comes back exact,
-    # and 2**65 is refused by name instead of wrapping
+@pytest.fixture
+def count_paths(monkeypatch):
+    """The dtype of each count contraction (_counts) that convolve runs."""
+    paths = []
+    counts, contract = epitome._counts, epitome._contract
+
+    def counts_spy(sa, sb, window):
+        paths.append(None)
+        return counts(sa, sb, window)
+
+    def contract_spy(a, b, window, dtype, step):
+        if paths and paths[-1] is None:
+            paths[-1] = dtype
+        return contract(a, b, window, dtype, step)
+
+    monkeypatch.setattr(epitome, "_counts", counts_spy)
+    monkeypatch.setattr(epitome, "_contract", contract_spy)
+    return paths
+
+
+def test_convolve_counts_past_the_int64_bound(count_paths):
+    # 1-D counts always factor, so their profiles are convolved and no
+    # count is contracted.  [2**31, 1] against itself has a profile bound
+    # of 2**62 * 2 terms, which reaches 2**63, so the profiles are
+    # convolved in Python ints: a largest count of 2**62 comes back exact.
+    # [2**32, 2**32] is weight 2**32 times [1, 1], and its largest count,
+    # 2**64 * 2 = 2**65, is refused by name instead of wrapping
     a = Epitome([0.0, 0.0], [2**31, 1])
     assert convolve(a, a).s.tolist() == [2**62, 2**32, 1]
     b = Epitome([0.0, 0.0], [2**32, 2**32])
     with pytest.raises(CountOverflowError, match=str(2**65)):
         convolve(b, b)
+    assert count_paths == []
+
+
+def _checkerboard(h):
+    # counts [[1, h], [h, 1]] are no outer product for h > 1, so they do
+    # not factor and convolve contracts them
+    s = np.array([[1, h], [h, 1]])
+    return Epitome(np.full((2, 2), 0.25), s)
+
+
+def _exact_counts(sa, sb):
+    # the full 2-D convolution of two count grids, in Python ints
+    out = np.zeros((3, 3), dtype=object)
+    for (p, q), x in np.ndenumerate(sa):
+        out[p : p + 2, q : q + 2] += x * sb
+    return out
+
+
+@pytest.mark.parametrize(
+    "h, k, count_type",
+    [
+        (2, 2, np.int64),
+        # a bound of 2**60 * 4 terms stays below 2**63
+        (2**30, 2**30, np.int64),
+        # a bound of 2**62 * 4 terms does not; the largest count is 2**63 - 2
+        (2, 2**61 - 1, object),
+    ],
+)
+def test_convolve_contracts_counts_that_do_not_factor(count_paths, h, k, count_type):
+    a, b = _checkerboard(h), _checkerboard(k)
+    out = convolve(a, b)
+    exact = _exact_counts(a.s.astype(object), b.s.astype(object))
+    assert out.s.tolist() == exact.tolist()
+    assert out.s.max() == max(exact.flat) == 2 + 2 * h * k
+    assert count_paths == [count_type]
+
+
+def test_convolve_contracted_count_past_the_int64_bound_is_named(count_paths):
+    # the centre count 2 + 2 * 2 * 2**61 = 2**63 + 2, contracted in Python ints
+    with pytest.raises(CountOverflowError, match=str(2**63 + 2)):
+        convolve(_checkerboard(2), _checkerboard(2**61))
+    assert count_paths == [object]
 
 
 def test_convolve_rank_mismatch():
-    with pytest.raises(ValueError):
+    # composite_convolve's check and message
+    with pytest.raises(ValueError, match=r"^spatial rank mismatch: 1 vs 2$"):
         convolve(make_normalized([0.1]), make_normalized([[0.1]]))
 
 
@@ -311,6 +378,13 @@ def test_python_int_counts_are_checked_like_int64():
 def test_add_past_float64_is_a_named_error():
     with pytest.raises(ValueError, match="non-finite g value in epitome"):
         add(Epitome([1e308], [1]), Epitome([1e308], [1]))
+
+
+def test_convolve_past_float64_is_a_named_error():
+    # the merge overflows float64; convolve's result is a member of a bank,
+    # whose check names it
+    with pytest.raises(ValueError, match="non-finite g value in bank"):
+        convolve(Epitome([1e308], [1]), Epitome([-1e308], [1]))
 
 
 # --- fuzziness and histograms ----------------------------------------------

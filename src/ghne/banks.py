@@ -23,7 +23,9 @@ without building the resized kernel.
 
 composite_convolve is the one way into that kernel: convolve, the
 epitome convolution, is its case of one filter, one channel and one
-contracted member.
+contracted member.  Its crop mode ("full", "same" or "valid") picks the
+output window the kernel computes, and apply is that call on a
+normalized input.
 """
 
 from __future__ import annotations
@@ -376,21 +378,24 @@ def _ones_factors(extents) -> _Factors:
     return _Factors(1, tuple(ones[:n] for n in extents), 1)
 
 
-def composite_convolve(a: Bank, b: Bank, window=None) -> Bank:
+def composite_convolve(a: Bank, b: Bank, crop: str = "full") -> Bank:
     """Bank-level convolution contracting a's filters against b's channels.
 
     Requires a.m == b.c.  Output member (i, j) for filter i of b and
     channel j of a is the entrywise epitome sum over k = 0..a.m-1 of
     convolve(a[k, j], b[i, k]), so the result has m = b.m, c = a.c, and
-    the full-convolution spatial shape, all from one call of the kernel,
-    epitome._bank_convolve.
-    window, one slice per spatial axis of that full shape, computes only
-    the entries it selects; None computes them all.  Anything but a
-    non-empty slice(start, stop) of integers inside its axis's full
-    extent raises ValueError before anything is computed.  A layer
-    bank's taps go to the kernel along with it, on either side, and when
-    both operands hold count factors (see Bank), so does the result; else
-    it holds those of the counts contracted, if they factor.
+    the full-convolution spatial shape A + B - 1, all from one call of
+    the kernel, epitome._bank_convolve.
+    crop is relative to a, as in a convolution's usual modes: "full"
+    keeps every entry, "same" center-crops to a's spatial shape, and
+    "valid" keeps the A - B + 1 entries where b lies wholly inside a.
+    An odd margin drops its extra entry from the high-index side, as
+    crop_bank does, and only the entries kept are computed.  Unequal
+    ranks, a.m != b.c, an unknown mode and an empty "valid" crop raise
+    ValueError before anything is computed.  A layer bank's taps go to
+    the kernel along with it, on either side, and when both operands
+    hold count factors (see Bank), so does the result; else it holds
+    those of the counts contracted, if they factor.
     The result holds the kernel's arrays themselves, read-only.
     """
     if a.rank != b.rank:
@@ -400,6 +405,10 @@ def composite_convolve(a: Bank, b: Bank, window=None) -> Bank:
             f"bank mismatch: left bank has m={a.m} epitomes but "
             f"right bank expects c={b.c} channels"
         )
+    pairs = list(zip(a.spatial_shape, b.spatial_shape))
+    full = tuple(x + y - 1 for x, y in pairs)
+    target = tuple(x - y + 1 for x, y in pairs) if crop == "valid" else a.spatial_shape
+    window = _crop_window(full, target, crop) or tuple(slice(0, n) for n in full)
     return Bank._of_convolution(*_bank_convolve(a, b, window))
 
 
@@ -492,31 +501,19 @@ def apply(input_bank: Bank, deep, crop: str = "full") -> Bank:
     """One-step feature extraction: convolve the input with the deep epitome.
 
     deep may be a DeepEpitome or a bare Bank (e.g. one loaded from
-    disk).  The input pairs with the deep epitome's channels (input.m
-    must equal deep.bank.c) and must be normalized, i.e. raw data that
-    has not been through any convolution yet.  The full result has
-    m = deep.bank.m and c = input.c; crop "same" center-crops to the
-    input's spatial shape and "valid" keeps only fully overlapped
-    entries.  Only the entries kept are computed.
+    disk).  The input must be normalized, i.e. raw data that has not
+    been through any convolution yet; apply is then
+    composite_convolve(input_bank, deep_bank, crop), with its checks,
+    crop modes and errors.  The full result has m = deep.bank.m and
+    c = input.c.
     """
     deep_bank = deep.bank if isinstance(deep, DeepEpitome) else deep
     if not input_bank.is_normalized:
         raise ValueError("input bank must be normalized (every count 1)")
-    if input_bank.m != deep_bank.c:
-        raise ValueError(
-            f"pairing mismatch: input provides m={input_bank.m} epitomes but "
-            f"the deep epitome expects c={deep_bank.c} channels"
-        )
-    # checked here too, or the crop would report the ranks as its own mismatch
-    if input_bank.rank != deep_bank.rank:
-        raise ValueError(f"spatial rank mismatch: {input_bank.rank} vs {deep_bank.rank}")
-    pairs = list(zip(input_bank.spatial_shape, deep_bank.spatial_shape))
-    target = tuple(n - d + 1 for n, d in pairs) if crop == "valid" else input_bank.spatial_shape
-    window = _crop_window(tuple(n + d - 1 for n, d in pairs), target, crop)
-    out = composite_convolve(input_bank, deep_bank, window)
-    # the identity, as the window is the crop; perfbench's extract trace
-    # reads its span
-    return crop_bank(out, target, crop)
+    out = composite_convolve(input_bank, deep_bank, crop)
+    # the identity, as the kernel computed only the crop; perfbench's
+    # extract trace reads its span
+    return crop_bank(out, out.spatial_shape, crop)
 
 
 def crop_bank(bank: Bank, target, mode: str = "same") -> Bank:

@@ -19,7 +19,8 @@ here, _bank_convolve, uses that to evaluate a whole bank contraction as
 two plain convolutions, one for t and one for the counts, each a
 windowed matrix product (im2col), batched over groups of output rows,
 that runs in BLAS; counts held as per-axis factors are convolved as
-factors instead.  banks.composite_convolve is its one caller.
+factors instead.  banks.composite_convolve is its one caller, and
+passes it the output window of a crop.
 
 Counts are stored as int64, never floats, so they stay exact (a count
 that would not fit raises CountOverflowError); g values are float64.
@@ -261,11 +262,11 @@ def _bank_convolve(a, b, window):
     (k, c, *A) and b shape (m, k, *B).  Output member (i, j) is the
     entrywise epitome sum over k of the full convolution of a[k, j] with
     b[i, k], whose spatial shape is A + B - 1.  window, one slice per
-    spatial axis in those full-output coordinates (None for all of it),
-    selects the entries computed and returned, so g has shape (m, c,
-    *window extents); each slice must be slice(start, stop), of
-    integers, non-empty and inside the full extent of its axis.  Both
-    parts are the same contraction: with T = s - 2g,
+    spatial axis in those full-output coordinates, selects the entries
+    computed and returned, so g has shape (m, c, *window extents).  Its
+    caller guarantees each slice is slice(start, stop) of Python ints
+    with 0 <= start < stop <= the full extent of its axis: nothing here
+    checks it.  Both parts are the same contraction: with T = s - 2g,
 
         T_out = sum_k conv(T_a[k, j], T_b[i, k])
         s_out = sum_k conv(s_a[k, j], s_b[i, k])    (exact)
@@ -322,8 +323,6 @@ def _bank_convolve(a, b, window):
     near 2**30 and g / s near 5e-10 its relative error was 7.7e-8.  Data
     in [0, 1] stays far inside the 1e-9 gate.
     """
-    full = tuple(x + y - 1 for x, y in zip(a.s.shape[2:], b.s.shape[2:]))
-    window = _checked_window(window, full)
     factors = _count_factors(a, b, window)
     g = _half_t(a, b, window)
     if factors is None:
@@ -359,36 +358,6 @@ def _half_t(a, b, window):
     else:
         t = _tap_contract(ta, taps._replace(w=turn(taps.w)), window)
     return turn(t)
-
-
-def _checked_window(window, full):
-    """window as slices of Python ints inside the full output extents, all of it for None.
-
-    Anything but one slice(start, stop) per axis, of integers with
-    0 <= start < stop <= the axis's full extent, raises ValueError
-    naming the axis and that extent.
-    """
-    if window is None:
-        return tuple(slice(0, n) for n in full)
-    window = tuple(window)
-    if len(window) != len(full):
-        raise ValueError(
-            f"window has {len(window)} slices for the {len(full)} axes of the full output {full}"
-        )
-    checked = []
-    for axis, (w, n) in enumerate(zip(window, full)):
-        try:
-            start, stop = operator.index(w.start), operator.index(w.stop)
-            inside = w.step is None and 0 <= start < stop <= n
-        except (AttributeError, TypeError):
-            inside = False
-        if not inside:
-            raise ValueError(
-                f"window {w!r} on axis {axis} is not slice(start, stop) with integers "
-                f"0 <= start < stop <= {n}, the full extent"
-            )
-        checked.append(slice(start, stop))
-    return tuple(checked)
 
 
 def _tap_contract(ta, taps, window):

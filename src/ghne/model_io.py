@@ -114,11 +114,16 @@ def _atomic_write(path, chunks):
     """Write an iterable of byte chunks to path through a temp file and a rename.
 
     The chunks are drawn one at a time; if one of them raises, or the write
-    fails, the temp file is removed and path is left as it was.
+    fails, the temp file is removed and path is left as it was.  A temp
+    file that cannot be made (say, in a missing directory) raises the
+    OSError of its errno naming path itself.
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ghne-tmp-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ghne-tmp-")
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as f:
             for chunk in chunks:

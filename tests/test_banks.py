@@ -644,11 +644,22 @@ def test_windowed_apply_counts_at_the_int64_edge(half):
     assert np.array_equal(apply(x, deep, "full").s, reference_composite(x, deep).s)
 
 
+def _crop_targets(a, b):
+    """Each crop mode's target shape for composite_convolve(a, b, mode)."""
+    pairs = list(zip(a.spatial_shape, b.spatial_shape))
+    return {
+        "full": tuple(x + y - 1 for x, y in pairs),
+        "same": a.spatial_shape,
+        "valid": tuple(x - y + 1 for x, y in pairs),
+    }
+
+
 @pytest.mark.parametrize("fill", ["replicate", "fuzzy"])
 @pytest.mark.parametrize("stride", [1, 2, 3, (1, 3), (3, 2)])
-def test_layer_bank_taps_do_not_change_its_meaning(tmp_path, fill, stride):
+def test_layer_bank_taps_do_not_change_its_meaning(monkeypatch, tmp_path, fill, stride):
     # a layer bank convolves through its taps; a plain Bank of the same g
-    # and s convolves its resized grid.  Both mean the same bank.
+    # and s convolves its resized grid.  Both mean the same bank, under
+    # every crop.
     rng = np.random.default_rng(25)
     layer = LayerSpec("l", rng.uniform(0, 1, (3, 2, 2, 3)), stride)
     taps = layer_to_bank(layer, fill)
@@ -658,13 +669,35 @@ def test_layer_bank_taps_do_not_change_its_meaning(tmp_path, fill, stride):
     right = random_bank(rng, m=2, c=3, shape=(3, 2), max_count=3, g_range=(0, 1))
     pairs = [((x, taps), (x, plain)) for x in inputs]
     pairs.append(((taps, right), (plain, right)))
+    # a 1x1 kernel: at fuzzy stride 3 the same crop's window stops at 6,
+    # past the taps' end at 5, so the product fills only the head of its
+    # output and the zero tail stays
+    point = layer_to_bank(LayerSpec("p", rng.uniform(0, 1, (3, 2, 1, 1)), stride), fill)
+    pairs.append(((inputs[0], point), (inputs[0], Bank(point.g, point.s))))
+    heads = []
+    contract = epitome._contract
+
+    def spy(a, b, window, *args):
+        out = contract(a, b, window, *args)
+        heads.append(out.shape[2:])
+        return out
+
+    monkeypatch.setattr(epitome, "_contract", spy)
+    tails = set()
     for (a, b), (twin_a, twin_b) in pairs:
-        full = tuple(x + y - 1 for x, y in zip(a.spatial_shape, b.spatial_shape))
-        # the window drops an entry at the low end and two at the high end
-        for w in (None, tuple(slice(1, n - 2) for n in full)):
-            twin = composite_convolve(twin_a, twin_b, w)
-            report = compare_banks(twin, composite_convolve(a, b, w), 4 * np.finfo(float).eps)
+        for crop, target in _crop_targets(a, b).items():
+            if min(target) < 1:
+                continue
+            twin = composite_convolve(twin_a, twin_b, crop)
+            heads.clear()
+            out = composite_convolve(a, b, crop)
+            assert out.spatial_shape == target
+            report = compare_banks(twin, out, 4 * np.finfo(float).eps)
             assert report.count_mismatches == 0 and report.passed, report
+            if any(head != target for head in heads):
+                tails.add((b is point, crop))
+    if fill == "fuzzy" and stride == 3:
+        assert (True, "same") in tails
     # crops and files hold only g and s
     path = tmp_path / "layer.ghne"
     save_epitome(taps, path)
@@ -702,17 +735,19 @@ def test_layer_bank_contracts_its_taps(monkeypatch):
 # --- the kernel writes g once ----------------------------------------------
 
 
-def _window_operands(swap, taps):
-    # no swap: a 2x(4x3) input windowed with a layer's 2x2 taps, stride 2;
-    # swap: a layer of 1x1 taps, stride (2, 1), is the kernel of a 3x(2x2)
-    # bank, since c * |B| = 2 * 4 > m * |K| = 1
+def _crop_operands(swap, taps, wide_b=False):
+    # no swap: a 2x(7x6) input windowed with a layer's 2x2 taps, stride 2;
+    # swap: a layer of 2x1 taps, stride (2, 1), is the kernel of a 3x(3x1)
+    # bank, since c * |B| = 2 * 3 > m * |K| = 2.  wide_b gives b the wider
+    # grid on an axis, so that the valid crop is empty
     rng = np.random.default_rng(27)
     if swap:
-        layer = layer_to_bank(LayerSpec("l", rng.uniform(0, 1, (3, 2, 1, 1)), (2, 1)))
-        pair = [layer, random_bank(rng, m=1, c=3, shape=(2, 2), max_count=3, g_range=(0, 1))]
+        layer = layer_to_bank(LayerSpec("l", rng.uniform(0, 1, (3, 2, 2, 1)), (2, 1)))
+        shape = (5 if wide_b else 3, 1)
+        pair = [layer, random_bank(rng, m=1, c=3, shape=shape, max_count=3, g_range=(0, 1))]
     else:
         layer = layer_to_bank(LayerSpec("l", rng.uniform(0, 1, (3, 2, 2, 2)), 2))
-        pair = [random_input(rng, channels=2, shape=(4, 3)), layer]
+        pair = [random_input(rng, channels=2, shape=(4, 3) if wide_b else (7, 6)), layer]
     if not taps:
         pair = [Bank(x.g, x.s) for x in pair]
     return pair
@@ -720,34 +755,36 @@ def _window_operands(swap, taps):
 
 @pytest.mark.parametrize("taps", [True, False], ids=["taps", "plain"])
 @pytest.mark.parametrize("swap", [False, True], ids=["as-is", "swapped"])
-def test_composite_window_must_lie_in_the_full_output(monkeypatch, swap, taps):
-    a, b = _window_operands(swap, taps)
-    n0, n1 = (x + y - 1 for x, y in zip(a.spatial_shape, b.spatial_shape))
+def test_composite_crop_is_the_crop_of_the_full_output(monkeypatch, swap, taps):
+    a, b = _crop_operands(swap, taps)
+    size_a, size_b = (
+        math.prod(x.spatial_shape if x._taps is None else x._taps.w.shape[2:]) for x in (a, b)
+    )
+    assert (a.c * size_b > b.m * size_a) == swap
     whole = composite_convolve(a, b)
-    # numpy integers are integers
-    assert composite_convolve(a, b, (slice(0, n0), slice(np.int64(0), np.int64(n1)))) == whole
-    assert composite_convolve(a, b, (slice(1, n0), slice(0, 1))).spatial_shape == (n0 - 1, 1)
+    assert composite_convolve(a, b, "full") == whole
+    for crop, target in _crop_targets(a, b).items():
+        out = composite_convolve(a, b, crop)
+        assert out.spatial_shape == target
+        assert (target == whole.spatial_shape) == (crop == "full")
+        # a narrower window may round g differently in the last bits
+        report = compare_banks(crop_bank(whole, target, crop), out, 2 * np.finfo(float).eps)
+        assert report.count_mismatches == 0 and report.passed, (crop, report)
 
     def kernel_ran(*args):
-        raise AssertionError("the kernel ran before the window was checked")
+        raise AssertionError("the kernel ran before the crop was checked")
 
     for name in ("_contract", "_tap_contract", "_counts"):
         monkeypatch.setattr(epitome, name, kernel_ran)
-    bad = [
-        ((slice(-1, n0), slice(0, n1)), f"axis 0 .* <= {n0}, the full extent$"),
-        ((slice(0, n0 + 1), slice(0, n1)), f"axis 0 .* <= {n0}, the full extent$"),
-        ((slice(0, n0), slice(2, 2)), f"axis 1 .* <= {n1}, the full extent$"),
-        ((slice(0, n0), slice(3, 1)), f"axis 1 .* <= {n1}, the full extent$"),
-        ((slice(0, n0, 2), slice(0, n1)), f"axis 0 .* <= {n0}, the full extent$"),
-        ((slice(0, n0), slice(0.5, n1)), f"axis 1 .* <= {n1}, the full extent$"),
-        ((slice(0, n0), slice(None)), f"axis 1 .* <= {n1}, the full extent$"),
-        ((slice(0, n0), 3), f"axis 1 .* <= {n1}, the full extent$"),
-        ((slice(0, n0),), rf"^window has 1 slices for the 2 axes of the full output \({n0}, {n1}\)$"),
-        ((slice(0, n0),) * 3, rf"^window has 3 slices for the 2 axes of the full output \({n0}, {n1}\)$"),
-    ]
-    for window, message in bad:
-        with pytest.raises(ValueError, match=message):
-            composite_convolve(a, b, window)
+    full = _crop_targets(a, b)["full"]
+    unknown = "^unknown crop mode .*, expected one of \\('full', 'same', 'valid'\\)$"
+    # a window of slices is no crop mode
+    for crop in ("center", None, tuple(slice(0, n) for n in full)):
+        with pytest.raises(ValueError, match=unknown):
+            composite_convolve(a, b, crop)
+    narrow, wide = _crop_operands(swap, taps, wide_b=True)
+    with pytest.raises(ValueError, match="^valid crop is empty: target "):
+        composite_convolve(narrow, wide, "valid")
 
 
 @pytest.mark.parametrize("one_thread_work", [epitome._ONE_THREAD_WORK, 0], ids=["rows", "chunk"])

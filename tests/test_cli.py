@@ -21,7 +21,7 @@ from ghne import (
 )
 from ghne import oracle
 from ghne.cli import main
-from ghne.model_io import write_pgm
+from ghne.model_io import write_pgm, write_ppm
 from ghne.oracle import random_bank
 
 
@@ -247,6 +247,43 @@ def test_apply_valid_crop_too_small(model_file, tmp_path, capsys):
     )
     assert code == 2
     assert "valid" in capsys.readouterr().err
+
+
+def test_apply_channel_mismatch_is_usage_error(model_file, tmp_path, capsys):
+    # a PPM gives the input m = 3 planes; the deep epitome has c = 1 channel
+    deep = finish_collapse(model_file, tmp_path)
+    image = tmp_path / "rgb.ppm"
+    write_ppm(image, np.zeros((8, 8, 3), dtype=np.uint8))
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["apply", "--epitome", deep, "--input", str(image), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: bank mismatch: left bank has m=3 epitomes but right bank expects c=1 channels\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["collapse", "stats", "bench"])
+def test_an_output_in_a_missing_directory_names_that_output(model_file, tmp_path, capsys, command):
+    path, _ = model_file
+    deep = finish_collapse(model_file, tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    target = str(tmp_path / "nodir" / "out")
+    argv = {
+        "collapse": ["collapse", "--model", path, "--out", target],
+        "stats": ["stats", "--epitome", deep, "--out", target],
+        "bench": ["bench", "--model", path, "--input-size", "6", "--json", target],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    # bench reports its gate on stderr first
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: [Errno 2] No such file or directory: {target!r}"]
+    assert err.endswith(errors[0] + "\n") and ".ghne-tmp-" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 # --- verify ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ written atomically, so a failing run never leaves a partial file.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import os
@@ -30,6 +31,7 @@ from .banks import (
     collapse,
     composite_convolve,
     crop_bank,
+    effective_shape,
     layer_to_bank,
 )
 from .epitome import mean_fuzziness
@@ -172,6 +174,8 @@ def cmd_bench(args) -> int:
     input_bank = oracle.random_input(
         rng, model.layers[0].in_channels, (args.input_size,) * rank
     )
+    # a record that cannot take this run fails before anything is timed
+    record = None if args.json is None else _bench_record(args.json, model)
 
     t0 = time.perf_counter()
     deep = collapse(model)
@@ -214,34 +218,50 @@ def cmd_bench(args) -> int:
                 file=sys.stderr,
             )
             return _EXIT_VERIFY
-    if args.json is not None:
-        _add_bench_run(args, model, deep, rows)
+    if record is not None:
+        _add_bench_run(args, record, rows)
     print("mode,rep,seconds")
     for mode, rep, seconds in rows:
         print(f"{mode},{rep},{seconds!r}")
     return _EXIT_OK
 
 
-def _add_bench_run(args, model, deep, rows):
-    """Add this gated bench run to the JSON record at args.json, created if absent.
+def _bench_record(path, model):
+    """The JSON record at path of this model's shapes and bench runs, new if absent.
 
-    The record holds the model's shapes once and a list of runs, each
-    with its environment, input, crop and the median and interquartile
-    range of every mode's seconds.  A file that is not such a record, or
-    holds another model's runs, raises ValueError.
+    A file that is not such a record, or holds another model's runs,
+    raises ValueError, and a path in a missing directory OSError.
     """
-    # imported here: loading them cost every other command start-up time
+    # imported here: loading it cost every other command start-up time
     # and resident memory
     import json
-    import platform
 
     shapes = {
         "layers": [
             {"name": l.name, "weights": list(l.weights.shape), "stride": list(l.stride)}
             for l in model.layers
         ],
-        "deep_epitome": list(deep.bank.g.shape),
+        "deep_epitome": [model.layers[-1].out_filters, model.layers[0].in_channels]
+        + list(effective_shape(model.layers)),
     }
+    if not os.path.exists(path):
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        return {"model": shapes, "runs": []}
+    with open(path, encoding="utf-8") as f:
+        record = json.load(f)
+    if not (isinstance(record, dict) and isinstance(record.get("runs"), list)):
+        raise ValueError(f"{path} is not a bench record")
+    if record.get("model") != shapes:
+        raise ValueError(f"{path} holds bench runs of another model")
+    return record
+
+
+def _add_bench_run(args, record, rows):
+    """Add this gated run (environment, input, crop, each mode's median and IQR) to args.json."""
+    import json
+    import platform
+
     modes = {}
     for mode in ("collapse", "layered", "one_step"):
         seconds = [s for m, _, s in rows if m == mode]
@@ -259,14 +279,6 @@ def _add_bench_run(args, model, deep, rows):
         "crop": args.crop,
         "modes": modes,
     }
-    record = {"model": shapes, "runs": []}
-    if os.path.exists(args.json):
-        with open(args.json, encoding="utf-8") as f:
-            record = json.load(f)
-        if not (isinstance(record, dict) and isinstance(record.get("runs"), list)):
-            raise ValueError(f"{args.json} is not a bench record")
-        if record.get("model") != shapes:
-            raise ValueError(f"{args.json} holds bench runs of another model")
     record["runs"].append(run)
     model_io.write_text(args.json, json.dumps(record, indent=1) + "\n")
 

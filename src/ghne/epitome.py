@@ -199,7 +199,7 @@ class _Taps(NamedTuple):
 
     w holds the layer's weights, (m, c, *K), each an entry of count 1;
     the bank's resized kernel spreads their T stride apart per axis,
-    boxed for fill "replicate" and zero-extended for "fuzzy".
+    boxed for fill "replicate" and followed by stride - 1 zeros for "fuzzy".
     """
 
     w: np.ndarray
@@ -300,10 +300,11 @@ def _bank_convolve(a, b, window):
     replicate's T is box_d * dilate_d(T_w), the all-ones d-box convolved
     with the taps spread d apart, and fuzzy's is dilate_d(T_w) followed
     by d - 1 zeros (its 0.5 filler has T = 0).  So composite_convolve
-    contracts conv(box_d(T_a), dilate_d(T_w)), or conv(T_a,
-    dilate_d(T_w)) zero-extended: one product over the |K| taps, read in
-    steps of d, with |K| in place of the grid in the role swap.  The
-    resized kernel is read only on the windowed side.  Boxing adds d
+    contracts conv(box_d(T_a), dilate_d(T_w)) or conv(T_a,
+    dilate_d(T_w)): one product over the |K| taps, read in steps of d,
+    with |K| in place of the grid in the role swap; a window past the end
+    of fuzzy's conv(T_a, dilate_d(T_w)) reads _contract's zero padding.
+    The resized kernel is read only on the windowed side.  Boxing adds d
     shifted copies, so g may differ from the dense product in the last
     bit; counts never do.
 
@@ -353,29 +354,12 @@ def _half_t(a, b, window):
     # the kernel side carries the -1/2 (exactly: gb - sb/2 = -T_b/2), so the
     # product is -T/2, already in the array that is returned as g
     if taps is None:
-        kb = turn(kernel.g) - 0.5 * turn(kernel.s)
-        t = _contract(ta, kb, window, np.float64, (1,) * len(window))
+        kb, step = turn(kernel.g) - 0.5 * turn(kernel.s), (1,) * len(window)
     else:
-        t = _tap_contract(ta, taps._replace(w=turn(taps.w)), window)
-    return turn(t)
-
-
-def _tap_contract(ta, taps, window):
-    """sum_k conv(ta[k, j], -T[i, k] / 2) over the window, T the resized kernel of taps."""
-    # -T_w / 2 of the taps, exactly
-    kb = taps.w - 0.5
-    if taps.fill == "replicate":
-        ta = _box(ta, taps.stride)
-    # conv(ta, dilate(kb)) ends here; the fuzzy kernel's zero tail extends it
-    ends = tuple(x + (y - 1) * d for x, y, d in zip(ta.shape[2:], kb.shape[2:], taps.stride))
-    inner = tuple(slice(w.start, min(w.stop, e)) for w, e in zip(window, ends))
-    if inner == window:
-        return _contract(ta, kb, window, np.float64, taps.stride)
-    t = np.zeros((kb.shape[0], ta.shape[1]) + tuple(w.stop - w.start for w in window))
-    if all(x.start < x.stop for x in inner):
-        head = (slice(None), slice(None)) + tuple(slice(0, x.stop - x.start) for x in inner)
-        t[head] = _contract(ta, kb, inner, np.float64, taps.stride)
-    return t
+        kb, step = turn(taps.w) - 0.5, taps.stride
+        if taps.fill == "replicate":
+            ta = _box(ta, step)
+    return turn(_contract(ta, kb, window, np.float64, step))
 
 
 def _box(x, widths):
@@ -442,7 +426,9 @@ def _contract(a, b, window, dtype, step):
     The windowed matrix product of _bank_convolve for one pair of
     operands, a (k, c, *A) windowed with the grid of b (m, k, *B) spread
     step apart per axis (1 everywhere for b's own grid).  a is zero-padded
-    once and read through one strided view (see _window_view).  Each
+    once and read through one strided view (see _window_view).  A window
+    may run past the full convolution's A + (B - 1) * step entries per
+    axis; its entries there read only padding, and come out zero.  Each
     chunk of output rows is gathered from it as (products, c, k * |B|,
     rows * |rest|) and multiplied into its own rows of the returned
     array, so every entry is written once; the gathered copy is freed
@@ -453,7 +439,8 @@ def _contract(a, b, window, dtype, step):
     rank = len(grid_a)
     span = tuple((y - 1) * d + 1 for y, d in zip(grid_b, step))
     # pad a by slice assignment into a zeroed buffer, faster than np.pad
-    padded = (k, c) + tuple(x + 2 * (y - 1) for x, y in zip(grid_a, span))
+    ends = (max(x + y - 1, w.stop) for x, y, w in zip(grid_a, span, window))
+    padded = (k, c) + tuple(e + y - 1 for e, y in zip(ends, span))
     inner = (slice(None), slice(None)) + tuple(
         slice(y - 1, y - 1 + x) for x, y in zip(grid_a, span)
     )

@@ -656,7 +656,7 @@ def _crop_targets(a, b):
 
 @pytest.mark.parametrize("fill", ["replicate", "fuzzy"])
 @pytest.mark.parametrize("stride", [1, 2, 3, (1, 3), (3, 2)])
-def test_layer_bank_taps_do_not_change_its_meaning(monkeypatch, tmp_path, fill, stride):
+def test_layer_bank_taps_do_not_change_its_meaning(tmp_path, fill, stride):
     # a layer bank convolves through its taps; a plain Bank of the same g
     # and s convolves its resized grid.  Both mean the same bank, under
     # every crop.
@@ -669,41 +669,67 @@ def test_layer_bank_taps_do_not_change_its_meaning(monkeypatch, tmp_path, fill, 
     right = random_bank(rng, m=2, c=3, shape=(3, 2), max_count=3, g_range=(0, 1))
     pairs = [((x, taps), (x, plain)) for x in inputs]
     pairs.append(((taps, right), (plain, right)))
-    # a 1x1 kernel: at fuzzy stride 3 the same crop's window stops at 6,
-    # past the taps' end at 5, so the product fills only the head of its
-    # output and the zero tail stays
+    # a 1x1 kernel: at fuzzy stride 3 its same crop's window, (1:6, 1:5),
+    # ends past the taps' own full convolution, A + (K - 1) * d = (5, 4),
+    # so the product reads padding there
     point = layer_to_bank(LayerSpec("p", rng.uniform(0, 1, (3, 2, 1, 1)), stride), fill)
     pairs.append(((inputs[0], point), (inputs[0], Bank(point.g, point.s))))
-    heads = []
-    contract = epitome._contract
-
-    def spy(a, b, window, *args):
-        out = contract(a, b, window, *args)
-        heads.append(out.shape[2:])
-        return out
-
-    monkeypatch.setattr(epitome, "_contract", spy)
-    tails = set()
+    if fill == "fuzzy" and stride == 3:
+        shape, full = inputs[0].spatial_shape, _crop_targets(inputs[0], point)["full"]
+        stops = tuple((n - x) // 2 + x for n, x in zip(full, shape))
+        # A + (K - 1) * d is A itself for a 1x1 kernel
+        assert all(stop > x for stop, x in zip(stops, shape))
     for (a, b), (twin_a, twin_b) in pairs:
         for crop, target in _crop_targets(a, b).items():
             if min(target) < 1:
                 continue
             twin = composite_convolve(twin_a, twin_b, crop)
-            heads.clear()
             out = composite_convolve(a, b, crop)
             assert out.spatial_shape == target
             report = compare_banks(twin, out, 4 * np.finfo(float).eps)
             assert report.count_mismatches == 0 and report.passed, report
-            if any(head != target for head in heads):
-                tails.add((b is point, crop))
-    if fill == "fuzzy" and stride == 3:
-        assert (True, "same") in tails
     # crops and files hold only g and s
     path = tmp_path / "layer.ghne"
     save_epitome(taps, path)
     loaded, cropped = load_epitome(path), crop_bank(taps, (1, 2), "same")
     assert loaded._taps is None and cropped._taps is None
     assert loaded == plain and cropped == crop_bank(plain, (1, 2), "same")
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["kernel", "windowed"])
+def test_fuzzy_filler_alone_leaves_g_at_half_its_count(swap):
+    # the fuzzy fill's resized kernel holds a layer's taps d apart and 0.5
+    # elsewhere, whose T = 1 - 2 * 0.5 is exactly 0.  A full-output entry
+    # that only filler reaches, as in the d - 1 entries past the taps' own
+    # full convolution, sums no T at all, so its g is s / 2 bit for bit
+    rng = np.random.default_rng(39)
+    cases = [
+        ((2, 1, 3), 2, (4,)),
+        ((2, 3, 1), 3, (2,)),
+        ((3, 2, 2, 3), (2, 3), (5, 4)),
+        ((2, 2, 1, 1), 3, (4, 5)),
+        ((2, 1, 2, 2), (3, 2), (2, 3)),
+    ]
+    for weights, stride, shape in cases:
+        m, c, *kernel = weights
+        layer = layer_to_bank(LayerSpec("l", rng.uniform(0, 1, weights), stride), "fuzzy")
+        if swap:
+            a, b = layer, random_bank(rng, m=1, c=m, shape=shape, max_count=3, g_range=(0, 1))
+        else:
+            a, b = random_input(rng, channels=c, shape=shape), layer
+        size_a, size_b = (
+            math.prod(x.spatial_shape if x._taps is None else x._taps.w.shape[2:]) for x in (a, b)
+        )
+        assert (a.c * size_b > b.m * size_a) == swap
+        lines = []
+        for n, k, d in zip(shape, kernel, layer._taps.stride):
+            taps = np.zeros(k * d)
+            taps[::d] = 1
+            lines.append(np.convolve(np.ones(n), taps) > 0)
+        filler = ~functools.reduce(np.logical_and.outer, lines)
+        out = composite_convolve(a, b, "full")
+        assert out.spatial_shape == filler.shape and filler.any()
+        assert np.array_equal(out.g[:, :, filler], 0.5 * out.s[:, :, filler])
 
 
 def test_layer_bank_contracts_its_taps(monkeypatch):
@@ -774,7 +800,7 @@ def test_composite_crop_is_the_crop_of_the_full_output(monkeypatch, swap, taps):
     def kernel_ran(*args):
         raise AssertionError("the kernel ran before the crop was checked")
 
-    for name in ("_contract", "_tap_contract", "_counts"):
+    for name in ("_contract", "_counts"):
         monkeypatch.setattr(epitome, name, kernel_ran)
     full = _crop_targets(a, b)["full"]
     unknown = "^unknown crop mode .*, expected one of \\('full', 'same', 'valid'\\)$"
@@ -836,14 +862,14 @@ def test_t_products_land_in_the_result(monkeypatch):
     strided = Model([first, LayerSpec("b", rng.uniform(0, 1, (3, 4, 2, 2)), 2)])
     plain = Model([first, LayerSpec("b", rng.uniform(0, 1, (3, 4, 2, 2)))])
     # the counts of normalized inputs, layers and their convolutions come
-    # from factors, so every product is a T product; the fuzzy fill of a
-    # strided layer assigns its product into a larger array instead, for
-    # the zero tail
+    # from factors, so every product is a T product; under the fuzzy fill
+    # the strided layer's window runs past its taps' full convolution
     runs = [
         lambda: apply(normalized_input(rng, 2, 1, (9, 8)), deep, "same"),
         lambda: apply(normalized_input(rng, 2, 1, (9, 8)), deep, "full"),
         lambda: apply(swapped_input, swapped_deep, "valid"),
         lambda: collapse(strided).bank,
+        lambda: collapse(strided, fill="fuzzy").bank,
         lambda: collapse(plain, fill="fuzzy").bank,
     ]
     for run in runs:

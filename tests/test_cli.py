@@ -279,7 +279,6 @@ def test_an_output_in_a_missing_directory_names_that_output(model_file, tmp_path
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
-    # bench reports its gate on stderr first
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert errors == [f"error: [Errno 2] No such file or directory: {target!r}"]
     assert err.endswith(errors[0] + "\n") and ".ghne-tmp-" not in err
@@ -612,6 +611,33 @@ def test_bench_json_refuses_a_record_it_cannot_add_to(model_file, tmp_path, caps
         assert main(["bench", "--model", path, "--input-size", "8", "--json", str(record)]) == 2
         assert capsys.readouterr().out == ""
     record.write_text(kept)
+
+
+@pytest.mark.parametrize("case", ["missing directory", "not a record", "another model"])
+def test_bench_json_fails_before_the_gate(model_file, tmp_path, monkeypatch, capsys, case):
+    path, _ = model_file
+    record = tmp_path / "BENCH_model.json"
+    if case == "missing directory":
+        record = tmp_path / "nodir" / "BENCH_model.json"
+    elif case == "not a record":
+        record.write_text("[]")
+    else:
+        other = tmp_path / "other.ghnm"
+        save_model(Model([LayerSpec("only", np.full((1, 1, 2, 2), 0.5))]), other)
+        assert main(["bench", "--model", str(other), "--input-size", "6", "--reps", "1",
+                     "--json", str(record)]) == 0
+    capsys.readouterr()
+    kept = record.read_text() if record.exists() else None
+
+    def gate(*args, **kwargs):
+        raise AssertionError("the gate ran before the record was checked")
+
+    monkeypatch.setattr(oracle, "layered_forward", gate)
+    assert main(["bench", "--model", path, "--input-size", "8", "--json", str(record)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bench-equivalence" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert (record.read_text() if record.exists() else None) == kept
 
 
 def test_stats_constant_half_bank(tmp_path, capsys):

@@ -25,7 +25,8 @@ composite_convolve is the one way into that kernel: convolve, the
 epitome convolution, is its case of one filter, one channel and one
 contracted member.  Its crop mode ("full", "same" or "valid") picks the
 output window the kernel computes, and apply is that call on a
-normalized input.
+normalized input.  A deep epitome keeps the plan of its last apply, so
+that applying it to image after image of one size plans once.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ from .epitome import (
     _histogram,
     _mean_fuzziness,
     _PairGrid,
+    _plan,
+    _plan_key,
     _Taps,
     histogram,
     mean_fuzziness,
@@ -95,16 +98,20 @@ class Bank(_PairGrid):
     made of, which composite_convolve passes to the kernel, and builds
     that kernel, g, only when g is first read.  No other bank has taps,
     so a copy, crop or saved file holds just g, s and s's factors.
+
+    As the right operand of composite_convolve, a bank keeps the plan of
+    its last call with a plain normalized left operand (see
+    composite_convolve), which no copy, crop or file holds either.
     """
 
-    __slots__ = ("_taps", "_factors")
+    __slots__ = ("_taps", "_factors", "_plan")
     _NAME = "bank"
     _MEMBER_AXES = 2
     _RANK_ERROR = "bank arrays must be (m, c, *spatial) with rank >= 3, got rank {}"
 
     def __init__(self, g, s):
         super().__init__(g, s)
-        self._taps, self._factors = None, _grid_factors(self.s)
+        self._taps, self._factors, self._plan = None, _grid_factors(self.s), None
 
     @property
     def g(self) -> np.ndarray:
@@ -126,6 +133,7 @@ class Bank(_PairGrid):
         ones.setflags(write=False)
         bank._g, bank.s = None, _shared(ones, layer.weights.shape[:2] + extents)
         bank._taps, bank._factors = _Taps(layer.weights, layer.stride, fill), _ones_factors(extents)
+        bank._plan = None
         return bank
 
     @classmethod
@@ -143,7 +151,7 @@ class Bank(_PairGrid):
             raise ValueError(f"non-finite g value in {cls._NAME}")
         g.setflags(write=False)
         bank = cls.__new__(cls)
-        bank._g, bank._taps = g, None
+        bank._g, bank._taps, bank._plan = g, None, None
         bank._factors = _grid_factors(s) if factors is None else factors
         bank.s = s if s.shape == g.shape else _shared(s, g.shape)
         return bank
@@ -397,19 +405,36 @@ def composite_convolve(a: Bank, b: Bank, crop: str = "full") -> Bank:
     hold count factors (see Bank), so does the result; else it holds
     those of the counts contracted, if they factor.
     The result holds the kernel's arrays themselves, read-only.
+
+    Everything that shapes, taps and count factors fix, from the window
+    and the role swap to the output counts, is one plan (epitome._plan),
+    built after the checks above.  b keeps the plan of its last call
+    whose a is a plain normalized bank (no taps, every count 1, so that
+    its counts follow from its shape), and a call with such an a of the
+    same shape and crop reuses it: the checks it passed hold for the
+    same shapes against the same immutable b.  That is apply on a
+    stream of same-sized inputs.  Every other call builds a fresh plan.
     """
-    if a.rank != b.rank:
-        raise ValueError(f"spatial rank mismatch: {a.rank} vs {b.rank}")
-    if a.m != b.c:
-        raise ValueError(
-            f"bank mismatch: left bank has m={a.m} epitomes but "
-            f"right bank expects c={b.c} channels"
-        )
-    pairs = list(zip(a.spatial_shape, b.spatial_shape))
-    full = tuple(x + y - 1 for x, y in pairs)
-    target = tuple(x - y + 1 for x, y in pairs) if crop == "valid" else a.spatial_shape
-    window = _crop_window(full, target, crop) or tuple(slice(0, n) for n in full)
-    return Bank._of_convolution(*_bank_convolve(a, b, window))
+    # a plain normalized a, no taps and every count 1, is known by its shape
+    plain = a._taps is None and a._factors is not None and a._factors.peak == 1
+    key = _plan_key(a, crop) if plain else None
+    plan = b._plan
+    if key is None or plan is None or plan.key != key:
+        if a.rank != b.rank:
+            raise ValueError(f"spatial rank mismatch: {a.rank} vs {b.rank}")
+        if a.m != b.c:
+            raise ValueError(
+                f"bank mismatch: left bank has m={a.m} epitomes but "
+                f"right bank expects c={b.c} channels"
+            )
+        pairs = list(zip(a.spatial_shape, b.spatial_shape))
+        full = tuple(x + y - 1 for x, y in pairs)
+        target = tuple(x - y + 1 for x, y in pairs) if crop == "valid" else a.spatial_shape
+        window = _crop_window(full, target, crop) or tuple(slice(0, n) for n in full)
+        plan = _plan(a, b, window, key)
+        if plain:
+            b._plan = plan
+    return Bank._of_convolution(*_bank_convolve(a, b, plan))
 
 
 def convolve(a: Epitome, b: Epitome) -> Epitome:

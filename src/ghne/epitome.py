@@ -20,7 +20,8 @@ two plain convolutions, one for t and one for the counts, each a
 windowed matrix product (im2col), batched over groups of output rows,
 that runs in BLAS; counts held as per-axis factors are convolved as
 factors instead.  banks.composite_convolve is its one caller, and
-passes it the output window of a crop.
+passes it a plan (_plan): the output window of a crop and every other
+decision that the operands' shapes, taps and count factors fix.
 
 Counts are stored as int64, never floats, so they stay exact (a count
 that would not fit raises CountOverflowError); g values are float64.
@@ -252,21 +253,165 @@ def _grid_factors(s):
     return factors if exact else None
 
 
+class _Layout(NamedTuple):
+    """How _contract runs one windowed matrix product, fixed by shapes alone (see _layout).
+
+    The windowed operand (k, c, *A), boxed first when its kernel is a
+    replicate fill's taps (see _box), is copied into a zeroed buffer of
+    shape padded, at inner, and read through one strided view (see
+    _window_view) with the kernel's grid taps, spread step apart, under
+    every output position of window.  Output rows are gathered chunk at
+    a time, per_product of them to each matrix product of depth k * |B|,
+    the gathered axes in order, and the result has shape out.
+    """
+
+    window: tuple
+    taps: tuple
+    step: tuple
+    padded: tuple
+    inner: tuple
+    out: tuple
+    depth: int
+    per_product: int
+    chunk: int
+    order: tuple
+
+    @property
+    def products(self) -> int:
+        """The matrix products: each of per_product output rows, the last perhaps of fewer."""
+        return -(-self.out[2] // self.per_product)
+
+
+def _layout(shape_a, shape_b, window, step, boxed=False) -> _Layout:
+    """The _Layout of sum_k conv(a[k, j], dilate(b)[i, k]) for a (k, c, *A) and b (m, k, *B).
+
+    b's grid is spread step apart per axis (1 everywhere for b's own
+    grid); a boxed a is _box(a, step), step - 1 longer per axis.  a is
+    padded far enough for any window: a window may run past the full
+    convolution's A + (B - 1) * step entries per axis, and its entries
+    there read only padding, and come out zero.  Output rows go to
+    products of as many rows as divide the window's rows evenly within
+    _ONE_THREAD_WORK multiply-adds, else (one row alone is more) of a
+    whole chunk, and are gathered in chunks of at most _IM2COL_ENTRIES
+    entries (or one row), whole products per chunk.
+    """
+    (k, c), grid_a = shape_a[:2], shape_a[2:]
+    m, grid_b = shape_b[0], shape_b[2:]
+    rank = len(grid_a)
+    padded, inner, out_grid = [k, c], [slice(None), slice(None)], []
+    for x, y, d, w in zip(grid_a, grid_b, step, window):
+        if boxed:
+            x += d - 1
+        span = (y - 1) * d + 1
+        padded.append(max(x + span - 1, w.stop) + span - 1)
+        inner.append(slice(span - 1, span - 1 + x))
+        out_grid.append(w.stop - w.start)
+    out_grid = tuple(out_grid)
+    rows, rest = out_grid[0], out_grid[1:]
+    depth, width = k * math.prod(grid_b), math.prod(rest)
+    most = min(rows, _ONE_THREAD_WORK // (m * depth * width))
+    chunk = max(1, _IM2COL_ENTRIES // (depth * c * width))
+    if most:
+        per_product = next(n for n in range(most, 0, -1) if rows % n == 0)
+        # whole products per chunk, so the cap never moves a product boundary
+        chunk = max(1, chunk // per_product) * per_product
+    else:
+        per_product = chunk
+    # window axes (k, c, products, rows per product, *rest, *B) as
+    # (products, c, k, *B, rows per product, *rest)
+    order = (2, 1, 0, *range(3 + rank, 3 + 2 * rank), 3, *range(4, 3 + rank))
+    return _Layout(
+        window, grid_b, step, tuple(padded), tuple(inner), (m, c) + out_grid,
+        depth, per_product, chunk, order,
+    )
+
+
+class _Plan(NamedTuple):
+    """What one composite convolution does, fixed by its operands' shapes, taps and count factors.
+
+    Built by _plan and run by _bank_convolve.  swap: b is windowed, with
+    a's kernel; box: the widths the windowed T is boxed by (a kernel of
+    replicate taps), else None; t: the T product's _Layout; kernel: b's
+    flipped -T/2 matrix when b is the kernel side, else None, as a's is
+    made on every call.  The output counts are factors and their grid
+    when both operands hold count factors; else both are None and counts
+    is the _Layout of the count contraction.  key is what
+    banks.composite_convolve keeps the plan on b for (see _plan_key), or
+    None for a plan it does not keep.
+    """
+
+    key: tuple | None
+    swap: bool
+    box: tuple | None
+    t: _Layout
+    kernel: np.ndarray | None
+    counts: _Layout | None
+    factors: _Factors | None
+    grid: np.ndarray | None
+
+
+def _plan_key(a, crop) -> tuple:
+    """What a plan kept on b serves: a's shape and the crop, under the current chunk caps."""
+    return a.s.shape, crop, _IM2COL_ENTRIES, _ONE_THREAD_WORK
+
+
+def _plan(a, b, window, key) -> _Plan:
+    """The _Plan of Banks a and b over a window (see _bank_convolve).
+
+    It reads shapes, taps and count factors, and b's values for b's
+    kernel matrix, never a's.  A count past the int64 maximum, from
+    factors, raises CountOverflowError before anything window-sized is
+    allocated.
+    """
+    factors = _count_factors(a, b, window)
+    (k, c), grid_a = a.s.shape[:2], a.s.shape[2:]
+    m, grid_b = b.s.shape[0], b.s.shape[2:]
+    size_a = math.prod(grid_a if a._taps is None else a._taps.w.shape[2:])
+    size_b = math.prod(grid_b if b._taps is None else b._taps.w.shape[2:])
+    # window b with a's kernel instead when that gathers the smaller copy
+    swap = c * size_b > m * size_a
+    windowed, kernel = (b, a) if swap else (a, b)
+    shape_w, box = windowed.s.shape, None
+    taps = kernel._taps
+    if taps is None:
+        shape_k, step = kernel.s.shape, (1,) * len(window)
+    else:
+        shape_k, step = taps.w.shape, taps.stride
+        if taps.fill == "replicate":
+            box = step
+    matrix = None
+    if swap:
+        shape_w = (shape_w[1], shape_w[0]) + shape_w[2:]
+        shape_k = (shape_k[1], shape_k[0]) + shape_k[2:]
+    else:
+        matrix = _kernel_matrix(_half_kernel(b), np.float64)
+        matrix.setflags(write=False)
+    counts, grid = None, None
+    if factors is None:
+        counts = _layout(a.s.shape, b.s.shape, window, (1,) * len(window))
+    else:
+        grid = factors.grid()
+    t = _layout(shape_w, shape_k, window, step, box is not None)
+    return _Plan(key, swap, box, t, matrix, counts, factors, grid)
+
+
 # a g past float64's range becomes inf or nan without a numpy warning, and
 # the non-finite check of the Bank built from it names the failure
 @np.errstate(over="ignore", invalid="ignore")
-def _bank_convolve(a, b, window):
-    """Hamming convolution of Banks a and b over an output window: g, s and _Factors or None.
+def _bank_convolve(a, b, plan):
+    """Hamming convolution of Banks a and b as planned: g, s and _Factors or None.
 
-    The kernel of banks.composite_convolve, its one caller.  a has shape
-    (k, c, *A) and b shape (m, k, *B).  Output member (i, j) is the
-    entrywise epitome sum over k of the full convolution of a[k, j] with
-    b[i, k], whose spatial shape is A + B - 1.  window, one slice per
-    spatial axis in those full-output coordinates, selects the entries
-    computed and returned, so g has shape (m, c, *window extents).  Its
-    caller guarantees each slice is slice(start, stop) of Python ints
-    with 0 <= start < stop <= the full extent of its axis: nothing here
-    checks it.  Both parts are the same contraction: with T = s - 2g,
+    The kernel of banks.composite_convolve, its one caller, which builds
+    plan with _plan, or keeps one from an earlier call of the same
+    shapes.  a has shape (k, c, *A) and b shape (m, k, *B).  Output
+    member (i, j) is the entrywise epitome sum over k of the full
+    convolution of a[k, j] with b[i, k], whose spatial shape is A + B -
+    1.  The plan's window, one slice per spatial axis in those
+    full-output coordinates, selects the entries computed and returned,
+    so g has shape (m, c, *window extents).  Its caller guarantees each
+    slice is slice(start, stop) of Python ints with 0 <= start < stop <=
+    the full extent of its axis: nothing here checks it.  Both parts are
+    the same contraction: with T = s - 2g,
 
         T_out = sum_k conv(T_a[k, j], T_b[i, k])
         s_out = sum_k conv(s_a[k, j], s_b[i, k])    (exact)
@@ -281,19 +426,20 @@ def _bank_convolve(a, b, window):
     outside the subnormal range.
 
     Each contraction is one windowed matrix product (im2col, see
-    _contract): a, zero-padded by B_i - 1 per side, is read through one
-    strided view under every output position of the window and gathered,
-    and a matmul against the flipped b, an m x (k * |B|) matrix, runs it
-    in BLAS.  a is windowed when c * |B| <= m * |A|, and otherwise the
-    roles swap (convolution commutes; the window is the same either
-    way).  Output rows are gathered in chunks of at most _IM2COL_ENTRIES
-    entries (or one row), and multiplied per channel in products of as
-    many rows as divide the window's rows evenly within _ONE_THREAD_WORK
-    multiply-adds, which OpenBLAS runs on the calling thread; each
-    product writes its block straight into the result.  A call repeats
-    bit for bit, and products of a few rows do not depend on the chunk
-    size; a chunk-wide product, or a narrower window, may round g
-    differently in the last bits, never the counts.
+    _contract, laid out by the plan's _Layout): a, zero-padded by B_i -
+    1 per side, is read through one strided view under every output
+    position of the window and gathered, and a matmul against the
+    flipped b, an m x (k * |B|) matrix, runs it in BLAS.  a is windowed
+    when c * |B| <= m * |A|, and otherwise the roles swap (convolution
+    commutes; the window is the same either way).  Output rows are
+    gathered in chunks of at most _IM2COL_ENTRIES entries (or one row),
+    and multiplied per channel in products of as many rows as divide the
+    window's rows evenly within _ONE_THREAD_WORK multiply-adds, which
+    OpenBLAS runs on the calling thread; each product writes its block
+    straight into the result.  A call repeats bit for bit, and products
+    of a few rows do not depend on the chunk size; a chunk-wide product,
+    or a narrower window, may round g differently in the last bits,
+    never the counts.
 
     A layer bank (see banks.layer_to_bank) keeps its taps, the K-entry
     kernel of T = 1 - 2w that its stride-d kernel is resized from:
@@ -309,14 +455,15 @@ def _bank_convolve(a, b, window):
     bit; counts never do.
 
     When both operands hold per-axis count factors (see _Factors and
-    Bank), their 1-D factors are convolved and no count is contracted.
-    Otherwise the member count arrays are contracted as given, before
-    any role swap: in int64 when no partial sum can reach 2**63, else in
-    Python ints.  s is a new read-only int64 array, (m, c, *window) or,
-    for counts every member shares, the one grid (1, 1, *window).  A
-    count past the int64 maximum raises CountOverflowError, which the CLI
-    reports with exit code 2; from factors, it is named before the T
-    product allocates anything window-sized.
+    Bank), the plan holds the convolution of their 1-D factors and the
+    grid they make, and no count is contracted.  Otherwise the member
+    count arrays are contracted as given, before any role swap: in int64
+    when no partial sum can reach 2**63, else in Python ints.  s is a
+    read-only int64 array, (m, c, *window) or, for counts every member
+    shares, the one grid (1, 1, *window), which from factors is the
+    plan's own.  A count past the int64 maximum raises
+    CountOverflowError, which the CLI reports with exit code 2; from
+    factors, _plan names it before anything window-sized is allocated.
 
     g = s / 2 - T / 2 has an absolute error of about eps * s (eps =
     2**-52, s the entry's count), whatever the size of g, so g keeps its
@@ -324,42 +471,50 @@ def _bank_convolve(a, b, window):
     near 2**30 and g / s near 5e-10 its relative error was 7.7e-8.  Data
     in [0, 1] stays far inside the 1e-9 gate.
     """
-    factors = _count_factors(a, b, window)
-    g = _half_t(a, b, window)
-    if factors is None:
-        s = _counts(a.s, b.s, window)
+    g = _half_t(a, b, plan)
+    if plan.factors is None:
+        s = _counts(a.s, b.s, plan.counts)
         grid = _distinct_counts(s, 2)
         # counts every member shares are stored once, copied out of s so it is freed
         s = s if grid is s else _int64_counts(grid)
     else:
-        s = factors.grid()
+        s = plan.grid
     g += 0.5 * s
-    return g, s, factors
+    return g, s, plan.factors
 
 
-def _half_t(a, b, window):
-    """-T_out / 2 over the window, a new float64 array (see _bank_convolve)."""
-    (k, c), grid_a = a.s.shape[:2], a.s.shape[2:]
-    m, grid_b = b.s.shape[0], b.s.shape[2:]
-    size_a, size_b = (
-        math.prod(grid if x._taps is None else x._taps.w.shape[2:])
-        for grid, x in ((grid_a, a), (grid_b, b))
-    )
-    # window b with a's kernel instead when that gathers the smaller copy
-    swap = c * size_b > m * size_a
-    windowed, kernel = (b, a) if swap else (a, b)
-    turn = (lambda x: x.swapaxes(0, 1)) if swap else (lambda x: x)
-    ta = turn(windowed.s) - 2.0 * turn(windowed.g)
-    taps = kernel._taps
-    # the kernel side carries the -1/2 (exactly: gb - sb/2 = -T_b/2), so the
-    # product is -T/2, already in the array that is returned as g
-    if taps is None:
-        kb, step = turn(kernel.g) - 0.5 * turn(kernel.s), (1,) * len(window)
+def _half_t(a, b, plan):
+    """-T_out / 2 over the plan's window, a new float64 array (see _bank_convolve)."""
+    if plan.swap:
+        ta = b.s.swapaxes(0, 1) - 2.0 * b.g.swapaxes(0, 1)
+        kb = _kernel_matrix(_half_kernel(a).swapaxes(0, 1), np.float64)
     else:
-        kb, step = turn(taps.w) - 0.5, taps.stride
-        if taps.fill == "replicate":
-            ta = _box(ta, step)
-    return turn(_contract(ta, kb, window, np.float64, step))
+        ta, kb = a.s - 2.0 * a.g, plan.kernel
+    if plan.box is not None:
+        ta = _box(ta, plan.box)
+    t = _contract(ta, kb, plan.t)
+    return t.swapaxes(0, 1) if plan.swap else t
+
+
+def _half_kernel(x):
+    """-T / 2 of kernel-side Bank x: of its taps if it has them, else of its grid.
+
+    The kernel side carries the -1/2 (exactly: g - s/2 = -T/2), so the
+    product is -T/2, already in the array that is returned as g.
+    """
+    if x._taps is None:
+        return x.g - 0.5 * x.s
+    return x._taps.w - 0.5
+
+
+def _kernel_matrix(b, dtype):
+    """b (m, k, *B) flipped on its grid, as a contiguous m x (k * |B|) matrix of dtype.
+
+    matmul would run a strided (flipped) operand in numpy's own loop
+    instead of BLAS.
+    """
+    flip = (slice(None), slice(None)) + (slice(None, None, -1),) * (b.ndim - 2)
+    return np.ascontiguousarray(b[flip], dtype=dtype).reshape(b.shape[0], -1)
 
 
 def _box(x, widths):
@@ -407,8 +562,8 @@ def _convolved_factors(fa, fb, k, window):
     return _Factors(weight, tuple(profiles), weight * math.prod(int(p.max()) for p in profiles))
 
 
-def _counts(sa, sb, window):
-    """sum_k conv(sa[k, j], sb[i, k]) over the window: exact, read-only int64 counts.
+def _counts(sa, sb, layout):
+    """sum_k conv(sa[k, j], sb[i, k]) as laid out: exact, read-only int64 counts.
 
     Contracted in the narrowest exact type (see _bank_convolve).
     """
@@ -417,55 +572,26 @@ def _counts(sa, sb, window):
     terms = sa.shape[0] * math.prod(min(x, y) for x, y in zip(sa.shape[2:], sb.shape[2:]))
     bound = int(sa.max()) * int(sb.max()) * terms
     count_type = np.int64 if bound < 2**63 else object
-    return _int64_counts(_contract(sa, sb, window, count_type, (1,) * len(window)))
+    return _int64_counts(_contract(sa, _kernel_matrix(sb, count_type), layout))
 
 
-def _contract(a, b, window, dtype, step):
-    """sum_k conv(a[k, j], dilate(b)[i, k]) over the window, as (m, c, *window) of dtype.
+def _contract(a, kb, layout):
+    """sum_k conv(a[k, j], dilate(b)[i, k]) as laid out, (m, c, *window) of kb's dtype.
 
     The windowed matrix product of _bank_convolve for one pair of
-    operands, a (k, c, *A) windowed with the grid of b (m, k, *B) spread
-    step apart per axis (1 everywhere for b's own grid).  a is zero-padded
-    once and read through one strided view (see _window_view).  A window
-    may run past the full convolution's A + (B - 1) * step entries per
-    axis; its entries there read only padding, and come out zero.  Each
-    chunk of output rows is gathered from it as (products, c, k * |B|,
-    rows * |rest|) and multiplied into its own rows of the returned
-    array, so every entry is written once; the gathered copy is freed
-    before the next chunk's.
+    operands: a (k, c, *A), and b (m, k, *B) as its flipped matrix kb
+    (see _kernel_matrix).  Every decision that shapes fix, from the
+    padding to the rows of each product, is the plan's _Layout (see
+    _layout); this only runs it.  a is zero-padded once and read through
+    one strided view (see _window_view).  Each chunk of output rows is
+    gathered from it as (products, c, k * |B|, rows * |rest|) and
+    multiplied into its own rows of the returned array, so every entry
+    is written once; the gathered copy is freed before the next chunk's.
     """
-    (k, c), grid_a = a.shape[:2], a.shape[2:]
-    m, grid_b = b.shape[0], b.shape[2:]
-    rank = len(grid_a)
-    span = tuple((y - 1) * d + 1 for y, d in zip(grid_b, step))
-    # pad a by slice assignment into a zeroed buffer, faster than np.pad
-    ends = (max(x + y - 1, w.stop) for x, y, w in zip(grid_a, span, window))
-    padded = (k, c) + tuple(e + y - 1 for e, y in zip(ends, span))
-    inner = (slice(None), slice(None)) + tuple(
-        slice(y - 1, y - 1 + x) for x, y in zip(grid_a, span)
-    )
-    pa = np.zeros(padded, dtype=dtype)
-    pa[inner] = a
-    flip = (slice(None), slice(None)) + (slice(None, None, -1),) * rank
-    # b as a contiguous m x (k * |B|) matrix: matmul would run a strided
-    # (flipped) operand in numpy's own loop instead of BLAS
-    pb = np.ascontiguousarray(b[flip], dtype=dtype).reshape(m, -1)
-    out_grid = tuple(w.stop - w.start for w in window)
-    rows, rest = out_grid[0], out_grid[1:]
-    depth, width = k * math.prod(grid_b), math.prod(rest)
-    # rows per matrix product: the most that divide the rows evenly and
-    # stay on the calling thread, else (one row alone is more) a whole chunk
-    most = min(rows, _ONE_THREAD_WORK // (m * depth * width))
-    chunk = max(1, _IM2COL_ENTRIES // (depth * c * width))
-    if most:
-        per_product = next(n for n in range(most, 0, -1) if rows % n == 0)
-        # whole products per chunk, so the cap never moves a product boundary
-        chunk = max(1, chunk // per_product) * per_product
-    else:
-        per_product = chunk
-    # window axes (k, c, products, rows per product, *rest, *B) as
-    # (products, c, k, *B, rows per product, *rest)
-    order = (2, 1, 0, *range(3 + rank, 3 + 2 * rank), 3, *range(4, 3 + rank))
+    k, c = layout.padded[:2]
+    m, depth, per_product, order = kb.shape[0], layout.depth, layout.per_product, layout.order
+    pa = np.zeros(layout.padded, dtype=kb.dtype)
+    pa[layout.inner] = a
 
     def products(windows, target):
         # the gathered copy is freed on return, before the next chunk's is gathered
@@ -475,10 +601,11 @@ def _contract(a, b, window, dtype, step):
         gathered = split.transpose(order).reshape(count, c, depth, -1)
         # target (m, c, n, *rest) as (products, c, m, rows * |rest|): a view
         # whose every matrix has a unit inner stride, so BLAS writes it in place
-        np.matmul(pb, gathered, out=target.reshape(m, c, count, -1).transpose(2, 1, 0, 3))
+        np.matmul(kb, gathered, out=target.reshape(m, c, count, -1).transpose(2, 1, 0, 3))
 
-    out = np.empty((m, c) + out_grid, dtype=dtype)
-    windows = _window_view(pa, window, grid_b, step)
+    out = np.empty(layout.out, dtype=kb.dtype)
+    windows = _window_view(pa, layout.window, layout.taps, layout.step)
+    rows, chunk = layout.out[2], layout.chunk
     for r in range(0, rows, chunk):
         part = (slice(None), slice(None), slice(r, r + chunk))
         products(windows[part], out[part])

@@ -826,8 +826,10 @@ def test_contract_scales_by_minus_half_exactly(monkeypatch, one_thread_work):
         ta = rng.uniform(-3, 3, (k, c) + grid_a)
         tb = rng.uniform(-3, 3, (m, k) + grid_b)
         window = tuple(slice(0, x + (y - 1) * d) for x, y, d in zip(grid_a, grid_b, step))
-        half = epitome._contract(ta, -0.5 * tb, window, np.float64, step)
-        assert np.array_equal(half, -0.5 * epitome._contract(ta, tb, window, np.float64, step))
+        layout = epitome._layout(ta.shape, tb.shape, window, step)
+        half = epitome._contract(ta, epitome._kernel_matrix(-0.5 * tb, np.float64), layout)
+        full = epitome._contract(ta, epitome._kernel_matrix(tb, np.float64), layout)
+        assert np.array_equal(half, -0.5 * full)
 
 
 def test_products_of_several_rows_are_bit_equal_across_chunk_caps(monkeypatch):
@@ -1156,7 +1158,7 @@ def test_second_apply_peak_is_no_higher():
     rng = np.random.default_rng(40)
     x, y = (normalized_input(rng, 1, 1, (64, 64)) for _ in range(2))
     # each apply's peak above what was traced when it began: both count
-    # from factors and leave nothing behind in the deep epitome
+    # from factors, and the second reuses the plan the first kept
     peaks = []
     tracemalloc.start()
     try:
@@ -1687,6 +1689,140 @@ def test_apply_full_is_the_composite_convolution():
     deep = collapse(small_model())
     x = random_input(rng, channels=1, shape=(9, 9))
     assert apply(x, deep, "full") == composite_convolve(x, deep.bank)
+
+
+# --- the plan ---------------------------------------------------------------
+
+
+def _mid(rng):
+    # perfbench's mid: 1-16-32-32, 3x3 kernels, strides 1, 2, 1
+    widths, strides = (1, 16, 32, 32), (1, 2, 1)
+    return Model(
+        LayerSpec(f"conv{i + 1}", rng.uniform(0, 1, (widths[i + 1], widths[i], 3, 3)), strides[i])
+        for i in range(3)
+    )
+
+
+def test_planned_products_are_the_products_run(monkeypatch, windowed):
+    # per contraction, the products np.matmul ran, the output rows of each
+    # and the rows of the flipped operand are those the call's plan laid out
+    columns, plans = [], []
+    spy, kernel = np.matmul, banks._bank_convolve
+
+    def gathered(x, y, out=None):
+        columns.append(y.shape[-1])
+        return spy(x, y, out=out)
+
+    def planned(a, b, plan):
+        plans.append(plan)
+        return kernel(a, b, plan)
+
+    monkeypatch.setattr(np, "matmul", gathered)
+    monkeypatch.setattr(banks, "_bank_convolve", planned)
+    rng = np.random.default_rng(46)
+    mid = _mid(rng)
+    conv1, conv2, conv3 = (layer_to_bank(layer) for layer in mid.layers)
+    step1 = composite_convolve(conv1, conv2)
+    deep = collapse(mid).bank
+    # the swapped case contracts the deep epitome's per-member counts too
+    (k, c, grid_a), (m, grid_b) = CROP_CASES["swapped"]
+    swapped = normalized_input(rng, k, c, grid_a), random_bank(rng, m, k, grid_b, 3, (0, 1))
+    strided = LayerSpec("s", rng.uniform(0, 1, (3, 2, 2, 3)), (2, 3))
+    x = random_input(rng, 2, (7, 12))
+    runs = {
+        "fold step 1": lambda: composite_convolve(conv1, conv2),
+        "fold step 2": lambda: composite_convolve(step1, conv3),
+        "swapped": lambda: composite_convolve(*swapped, "same"),
+        "replicate taps": lambda: composite_convolve(x, layer_to_bank(strided, "replicate")),
+        "fuzzy taps": lambda: composite_convolve(x, layer_to_bank(strided, "fuzzy"), "valid"),
+        **{
+            f"apply {crop}": functools.partial(apply, random_input(rng, 1, (28, 28)), deep, crop)
+            for crop in ("full", "same", "valid")
+        },
+    }
+    for name, run in runs.items():
+        windowed.clear(), columns.clear(), plans.clear()
+        run()
+        (plan,) = plans
+        assert plan.swap == (name == "swapped") and (plan.counts is None) == (name != "swapped")
+        records = list(zip(windowed, columns))
+        for layout, is_t in ((plan.t, True), (plan.counts, False)):
+            if layout is None:
+                continue
+            width = math.prod(layout.out[3:])
+            rows = []
+            for (dtype, products, kernel_rows), n in records:
+                if (dtype == np.float64) == is_t:
+                    assert kernel_rows == layout.out[0], name
+                    rows += [n // width] * products
+            full, last = layout.products - 1, layout.out[2] - layout.per_product * (layout.products - 1)
+            assert rows == [layout.per_product] * full + [last], name
+
+
+def test_a_kept_plan_serves_only_the_calls_it_was_built_for():
+    # a deep epitome applied to inputs of two shapes in turn, under every
+    # crop, then convolved with a counted bank and a layer bank of one of
+    # those shapes: each result has the bits and counts of the same call
+    # on a fresh copy, which plans it anew
+    rng = np.random.default_rng(47)
+    deep = _deep()
+
+    def same_as_fresh(call, a, crop):
+        out, expected = call(a, deep, crop), call(a, Bank(deep.g, deep.s), crop)
+        assert out.g.tobytes() == expected.g.tobytes() and np.array_equal(out.s, expected.s)
+
+    for shape in ((9, 9), (12, 10), (9, 9), (12, 10)):
+        for crop in ("full", "same", "valid", "same"):
+            x = random_input(rng, 1, shape)
+            same_as_fresh(apply, x, crop)
+            assert deep._plan.key[:2] == (x.s.shape, crop)
+    plan = deep._plan
+    same_as_fresh(apply, random_input(rng, 1, (12, 10)), "same")
+    assert deep._plan is plan
+    s = rng.integers(1, 4, (1, 1, 12, 10))
+    counted = Bank(s * rng.uniform(0, 1, s.shape), s)
+    # its 1x2 taps, stride (12, 5), make it the kernel of the deep epitome
+    layer = layer_to_bank(LayerSpec("l", rng.uniform(0, 1, (1, 1, 1, 2)), (12, 5)))
+    assert layer.spatial_shape == (12, 10)
+    for a in (counted, layer):
+        for crop in ("full", "same", "valid"):
+            same_as_fresh(composite_convolve, a, crop)
+            assert deep._plan is plan
+    # mismatches are named as on a fresh bank
+    for bad in (random_input(rng, 3, (12, 10)), random_input(rng, 1, (12,))):
+        messages = []
+        for bank in (deep, Bank(deep.g, deep.s)):
+            with pytest.raises(ValueError) as exc:
+                apply(bad, bank, "same")
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+    assert deep._plan is plan
+
+
+def test_a_bank_keeps_one_plan():
+    # applied to three input shapes, a deep epitome holds the last one's
+    # plan: its kernel matrix and one count grid, and a few small objects
+    # (about 3.5 KiB); a second plan would add a grid of at least 12.5 KiB
+    rng = np.random.default_rng(45)
+    model = Model([LayerSpec("a", rng.uniform(0, 1, (4, 1, 3, 3))),
+                   LayerSpec("b", rng.uniform(0, 1, (8, 4, 3, 3)), 2)])
+    deep = collapse(model).bank
+    xs = [random_input(rng, 1, shape) for shape in ((48, 48), (40, 40), (44, 44))]
+    # numpy's first calls of a kind allocate what they keep
+    apply(xs[0], Bank(deep.g, deep.s), "same")
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for x in xs:
+            apply(x, deep, "same")
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    plan = deep._plan
+    assert plan.key[0] == xs[-1].s.shape
+    assert held <= plan.kernel.nbytes + plan.grid.nbytes + 8 * 1024
 
 
 # --- bank stats -------------------------------------------------------------

@@ -172,14 +172,14 @@ def count_paths(monkeypatch):
     paths = []
     counts, contract = epitome._counts, epitome._contract
 
-    def counts_spy(sa, sb, window):
+    def counts_spy(sa, sb, layout):
         paths.append(None)
-        return counts(sa, sb, window)
+        return counts(sa, sb, layout)
 
-    def contract_spy(a, b, window, dtype, step):
+    def contract_spy(a, kb, layout):
         if paths and paths[-1] is None:
-            paths[-1] = dtype
-        return contract(a, b, window, dtype, step)
+            paths[-1] = kb.dtype
+        return contract(a, kb, layout)
 
     monkeypatch.setattr(epitome, "_counts", counts_spy)
     monkeypatch.setattr(epitome, "_contract", contract_spy)

@@ -158,10 +158,9 @@ class Bank(_PairGrid):
 
     @property
     def is_normalized(self) -> bool:
-        # every count is >= 1, so all are 1 exactly when the largest is
-        if self._factors is not None:
-            return self._factors.peak == 1
-        return super().is_normalized
+        # counts of all 1 are one shared grid with factors of peak 1, and
+        # every count is >= 1, so all are 1 exactly when the peak is
+        return self._factors is not None and self._factors.peak == 1
 
     # shapes are read from s, which a layer bank holds before its g
 
@@ -286,34 +285,35 @@ class Model:
 class DeepEpitome:
     """A collapsed bank tagged with the 1-based layer range it replaces.
 
-    bank.c equals the first collapsed layer's input channels, bank.m the
-    last layer's output filters, and the spatial shape obeys the closed
-    form first_extent + sum(extent_i - 1) over stride-resized extents.
-    When effective_counts (see the function of that name) is given, the
-    bank's count factors must equal it; no count grid is compared.
+    bank.c equals the first collapsed layer's input channels and bank.m
+    the last layer's output filters.  effective_counts is the fold's one
+    closed form (see the function of that name): the bank's spatial
+    shape must be its profiles' lengths, effective_shape, and the bank's
+    count factors must equal it; no count grid is compared.
     """
 
     bank: Bank
     collapsed_layers: tuple[int, int]
-    effective_shape: tuple[int, ...]
-    effective_counts: tuple | None = field(default=None, compare=False, repr=False)
+    effective_counts: _Factors = field(compare=False, repr=False)
+
+    @property
+    def effective_shape(self) -> tuple[int, ...]:
+        """The closed-form spatial shape: the lengths of effective_counts' profiles."""
+        return tuple(len(p) for p in self.effective_counts.profiles)
 
     def __post_init__(self):
         first, last = self.collapsed_layers
         if not 1 <= first <= last:
             raise ValueError(f"bad layer range {self.collapsed_layers}")
-        if self.bank.spatial_shape != tuple(self.effective_shape):
+        if self.bank.spatial_shape != self.effective_shape:
             raise ValueError(
                 f"collapsed bank shape {self.bank.spatial_shape} does not match "
-                f"the closed-form effective shape {tuple(self.effective_shape)}"
+                f"the closed-form effective shape {self.effective_shape}"
             )
-        if self.effective_counts is not None:
-            held, (weight, profiles, _) = self.bank._factors, self.effective_counts
-            same = held is not None and held.weight == weight
-            if not (same and [p.tolist() for p in held.profiles] == [p.tolist() for p in profiles]):
-                raise ValueError(
-                    "collapsed bank counts do not match the closed-form effective counts"
-                )
+        held, (weight, profiles, _) = self.bank._factors, self.effective_counts
+        same = held is not None and held.weight == weight
+        if not (same and [p.tolist() for p in held.profiles] == [p.tolist() for p in profiles]):
+            raise ValueError("collapsed bank counts do not match the closed-form effective counts")
 
 
 def _stride_tuple(stride, rank: int) -> tuple[int, ...]:
@@ -416,7 +416,7 @@ def composite_convolve(a: Bank, b: Bank, crop: str = "full") -> Bank:
     stream of same-sized inputs.  Every other call builds a fresh plan.
     """
     # a plain normalized a, no taps and every count 1, is known by its shape
-    plain = a._taps is None and a._factors is not None and a._factors.peak == 1
+    plain = a._taps is None and a.is_normalized
     key = _plan_key(a, crop) if plain else None
     plan = b._plan
     if key is None or plan is None or plan.key != key:
@@ -450,16 +450,12 @@ def convolve(a: Epitome, b: Epitome) -> Epitome:
 
 
 def effective_shape(layers) -> tuple[int, ...]:
-    """Closed-form collapsed extent: first + sum(extent_i - 1), resized."""
-    layers = list(layers)
-    if not layers:
-        raise ValueError("no layers")
-    extents = [l.resized_extents() for l in layers]
-    out = list(extents[0])
-    for ext in extents[1:]:
-        for axis, e in enumerate(ext):
-            out[axis] += e - 1
-    return tuple(out)
+    """Closed-form collapsed extent, first + sum(extent_i - 1) over resized extents.
+
+    The lengths of effective_counts' profiles, as each profile is the
+    full convolution of the layers' boxes along its axis.
+    """
+    return tuple(len(p) for p in effective_counts(layers).profiles)
 
 
 def effective_counts(layers) -> _Factors:
@@ -504,7 +500,7 @@ def collapse(
     than assume.  Layer banks are contracted through their taps, so a
     strided layer's resized kernel is built only if a role swap windows
     it.  The result's spatial shape and count factors are cross-checked
-    against the closed forms at construction.
+    against the one closed form, effective_counts, at construction.
     """
     n = len(model.layers)
     if upto_layer is None:
@@ -517,9 +513,7 @@ def collapse(
     bank = layer_to_bank(selected[0], fill)
     for layer in selected[1:]:
         bank = composite_convolve(bank, layer_to_bank(layer, fill))
-    return DeepEpitome(
-        bank, (first_layer, upto_layer), effective_shape(selected), effective_counts(selected)
-    )
+    return DeepEpitome(bank, (first_layer, upto_layer), effective_counts(selected))
 
 
 def apply(input_bank: Bank, deep, crop: str = "full") -> Bank:

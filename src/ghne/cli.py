@@ -40,7 +40,7 @@ _EXIT_OK = 0
 _EXIT_VERIFY = 1
 _EXIT_USAGE = 2
 # the least value of each numeric option; main checks them before any command runs
-_LEAST = {"tol": 0, "trials": 1, "reps": 1, "seed": 0, "input_size": 1}
+_LEAST = {"tol": 0, "trials": 1, "reps": 1, "seed": 0, "input_size": 1, "bins": 1}
 # a negative number in any float notation: argparse's own pattern has no exponent and
 # took the -1e-3 of "--tol -1e-3" for an option; no ghne option starts with "-" and a digit or "."
 _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")

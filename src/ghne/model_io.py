@@ -547,8 +547,8 @@ def write_member_images(bank: Bank, out_dir, prefix: str = "member") -> list:
     return _render(bank, out_dir, [(f"{prefix}_f{i}_c{j}.pgm", [("", i, j)]) for i, j in members])
 
 
-def write_pseudo_color_images(bank: Bank, out_dir, prefix: str = "member") -> list:
-    """Write one PPM per filter, channels 0,1,2 mapped to R,G,B.
+def write_pseudo_color_images(bank: Bank, out_dir) -> list:
+    """Write one PPM per filter, member_f<i>_rgb.ppm, channels 0,1,2 mapped to R,G,B.
 
     Each channel is min-max scaled independently, all before anything
     is written; bounds land in scaling.txt, one line per channel.
@@ -556,7 +556,7 @@ def write_pseudo_color_images(bank: Bank, out_dir, prefix: str = "member") -> li
     if bank.c != 3:
         raise ValueError(f"pseudo-color rendering needs exactly 3 channels, bank has c={bank.c}")
     rgb = [[(f" channel={j}", i, j) for j in range(3)] for i in range(bank.m)]
-    return _render(bank, out_dir, [(f"{prefix}_f{i}_rgb.ppm", rgb[i]) for i in range(bank.m)])
+    return _render(bank, out_dir, [(f"member_f{i}_rgb.ppm", rgb[i]) for i in range(bank.m)])
 
 
 # ---------------------------------------------------------------------------

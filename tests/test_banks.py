@@ -61,13 +61,14 @@ def test_bank_basic_properties():
     assert b.is_normalized
 
 
-def test_bank_is_normalized_reads_factors_or_scans():
+def test_bank_is_normalized_reads_the_factors_peak():
     g = np.zeros((2, 3, 4, 5))
     ones, twos = np.ones(g.shape, dtype=np.int64), np.full(g.shape, 2)
     one_two = ones.copy()
     one_two[1, 2, 3, 4] = 2
     checkered = np.broadcast_to(1 + np.indices((4, 5)).sum(0) % 2, g.shape)
-    # the first two hold factors, whose peak answers; the others are scanned
+    # the first two hold factors, whose peak answers; counts with no
+    # factors are never all 1
     for s, factored, normalized in (
         (ones, True, True),
         (twos, True, False),
@@ -1223,15 +1224,19 @@ def test_effective_counts_closed_form():
     with pytest.raises(ValueError, match="^no layers$"):
         effective_counts([])
     deep = collapse(Model(layers))
-    assert deep.effective_counts is not None
-    with pytest.raises(ValueError, match="closed-form effective counts"):
-        DeepEpitome(deep.bank, (1, 3), deep.effective_shape, effective_counts(layers[1:]))
+    assert deep.effective_counts.weight == weight and deep.effective_counts.peak == peak
+    assert [p.tolist() for p in deep.effective_counts.profiles] == [p.tolist() for p in profiles]
+    assert deep.effective_shape == deep.bank.spatial_shape == (5, 4)
+    # one 5x4 layer has the bank's shape but counts of 1, so only the counts check tells
+    other = effective_counts([LayerSpec("x", np.zeros((1, 1, 5, 4)), 1)])
+    with pytest.raises(ValueError, match="^collapsed bank counts do not match"):
+        DeepEpitome(deep.bank, (1, 3), other)
     # a copy finds the same factors in its counts; counts that do not factor have none
-    DeepEpitome(Bank(deep.bank.g, deep.bank.s), (1, 3), deep.effective_shape, deep.effective_counts)
+    DeepEpitome(Bank(deep.bank.g, deep.bank.s), (1, 3), deep.effective_counts)
     s = np.array(deep.bank.s)
     s[0, 0, 0, 0] += 1
     with pytest.raises(ValueError, match="closed-form effective counts"):
-        DeepEpitome(Bank(deep.bank.g, s), (1, 3), deep.effective_shape, deep.effective_counts)
+        DeepEpitome(Bank(deep.bank.g, s), (1, 3), deep.effective_counts)
 
 
 def test_factor_profiles_past_int64_stay_exact():
@@ -1487,10 +1492,18 @@ def test_collapse_count_just_below_int64_is_exact():
 
 def test_deep_epitome_validates_shape():
     b = Bank(np.zeros((1, 1, 4)), np.ones((1, 1, 4), dtype=np.int64))
-    with pytest.raises(ValueError):
-        DeepEpitome(b, (1, 1), (5,))
-    with pytest.raises(ValueError):
-        DeepEpitome(b, (2, 1), (4,))
+    four, five = (effective_counts([LayerSpec("a", np.zeros((1, 1, n)))]) for n in (4, 5))
+    deep = DeepEpitome(b, (1, 1), four)
+    assert deep.effective_shape == (4,)
+    assert repr(deep) == "DeepEpitome(bank=Bank(m=1, c=1, spatial=(4,)), collapsed_layers=(1, 1))"
+    message = r"^collapsed bank shape \(4,\) does not match the closed-form effective shape \(5,\)$"
+    with pytest.raises(ValueError, match=message):
+        DeepEpitome(b, (1, 1), five)
+    with pytest.raises(ValueError, match=r"^bad layer range \(2, 1\)$"):
+        DeepEpitome(b, (2, 1), four)
+    # the range is checked first, then the shape
+    with pytest.raises(ValueError, match="^bad layer range"):
+        DeepEpitome(b, (0, 1), five)
 
 
 # --- apply and cropping -----------------------------------------------------

@@ -424,8 +424,12 @@ def test_stats_range_malformed_negative_bound(tmp_path, capsys):
 
 def test_stats_bad_bins(model_file, tmp_path, capsys):
     deep = finish_collapse(model_file, tmp_path)
-    assert main(["stats", "--epitome", deep, "--bins", "0", "--out", str(tmp_path / "s.csv")]) == 2
-    assert "error:" in capsys.readouterr().err
+    out = tmp_path / "s.csv"
+    # the usage error comes before the file is read, so a missing file is not reported first
+    for epitome in (deep, str(tmp_path / "missing.ghne")):
+        assert main(["stats", "--epitome", epitome, "--bins", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --bins must be >= 1\n"
+    assert not out.exists()
 
 
 def test_render_grayscale(model_file, tmp_path, capsys):

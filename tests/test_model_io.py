@@ -813,14 +813,14 @@ def test_pseudo_color_scaling_lines(tmp_path):
     g[1] = [[[0.0, 0.5], [0.5, 0.5]]]
     s = np.ones(g.shape, dtype=np.int64)
     s[1, 2] = 3
-    write_pseudo_color_images(Bank(g, s), tmp_path / "rgb", prefix="feat")
+    write_pseudo_color_images(Bank(g, s), tmp_path / "rgb")
     assert (tmp_path / "rgb" / "scaling.txt").read_text() == (
-        "feat_f0_rgb.ppm channel=0 lo=0.0 hi=1.0\n"
-        "feat_f0_rgb.ppm channel=1 lo=0.25 hi=0.25 constant=128\n"
-        "feat_f0_rgb.ppm channel=2 lo=-1.5 hi=0.3\n"
-        "feat_f1_rgb.ppm channel=0 lo=0.0 hi=0.5\n"
-        "feat_f1_rgb.ppm channel=1 lo=0.0 hi=0.5\n"
-        "feat_f1_rgb.ppm channel=2 lo=0.0 hi=0.16666666666666666\n"
+        "member_f0_rgb.ppm channel=0 lo=0.0 hi=1.0\n"
+        "member_f0_rgb.ppm channel=1 lo=0.25 hi=0.25 constant=128\n"
+        "member_f0_rgb.ppm channel=2 lo=-1.5 hi=0.3\n"
+        "member_f1_rgb.ppm channel=0 lo=0.0 hi=0.5\n"
+        "member_f1_rgb.ppm channel=1 lo=0.0 hi=0.5\n"
+        "member_f1_rgb.ppm channel=2 lo=0.0 hi=0.16666666666666666\n"
     )
 
 
